@@ -5,12 +5,13 @@
  * 8-query combinations. The paper's x-axis is non-linear; the same
  * bucket edges are used here.
  */
+#include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "baseline/scan_db.h"
 #include "bench_util.h"
-#include "common/stats.h"
 #include "core/mithrilog.h"
 
 using namespace mithril;
@@ -18,16 +19,58 @@ using namespace mithril::bench;
 
 namespace {
 
-// Non-linear buckets in GB/s, mirroring the paper's axis.
+// Non-linear buckets in GB/s, mirroring the paper's axis: bucket i
+// holds [kEdges[i-1], kEdges[i]), with open-ended first and last ones.
 const std::vector<double> kEdges = {0.05, 0.1, 0.25, 0.5, 1.0, 2.0,
                                     4.0, 8.0, 12.0};
+
+/** Per-bucket sample counts over kEdges. */
+struct EdgeHistogram {
+    std::vector<uint64_t> counts = std::vector<uint64_t>(kEdges.size() + 1);
+
+    void
+    record(double value)
+    {
+        ++counts[std::upper_bound(kEdges.begin(), kEdges.end(), value) -
+                 kEdges.begin()];
+    }
+
+    /** ASCII bar chart, one line per bucket. */
+    std::string
+    render(size_t bar_width) const
+    {
+        uint64_t peak = std::max<uint64_t>(
+            1, *std::max_element(counts.begin(), counts.end()));
+        std::string out;
+        for (size_t i = 0; i < counts.size(); ++i) {
+            char label[64];
+            if (i == 0) {
+                std::snprintf(label, sizeof label, "< %.3g", kEdges[0]);
+            } else if (i == kEdges.size()) {
+                std::snprintf(label, sizeof label, ">= %.3g",
+                              kEdges.back());
+            } else {
+                std::snprintf(label, sizeof label, "[%.3g, %.3g)",
+                              kEdges[i - 1], kEdges[i]);
+            }
+            char line[160];
+            size_t bar = counts[i] * bar_width / peak;
+            std::snprintf(line, sizeof line, "%16s |%-*s| %llu\n", label,
+                          static_cast<int>(bar_width),
+                          std::string(bar, '#').c_str(),
+                          static_cast<unsigned long long>(counts[i]));
+            out += line;
+        }
+        return out;
+    }
+};
 
 void
 runSet(const baseline::ScanDb &db, core::MithriLog *system,
        const std::vector<query::Query> &queries, size_t limit,
        const char *label)
 {
-    Histogram scan_h(kEdges), accel_h(kEdges);
+    EdgeHistogram scan_h, accel_h;
     size_t n = std::min(limit, queries.size());
     double scan_sum = 0, accel_sum = 0;
     size_t accel_n = 0;

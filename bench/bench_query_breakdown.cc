@@ -63,7 +63,8 @@ main(int argc, char **argv)
     std::printf("\n%zu counters, %zu gauges, %zu histograms in the "
                 "registry; %zu spans traced\n",
                 snap.counters.size(), snap.gauges.size(),
-                snap.histograms.size(), benchTracer().events().size());
+                snap.quantile_histograms.size(),
+                benchTracer().events().size());
     finishBench();
     return 0;
 }

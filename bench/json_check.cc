@@ -156,11 +156,6 @@ main(int argc, char **argv)
             continue;
         }
         std::string err;
-        if (!mithril::obs::jsonValid(line, &err)) {
-            std::fprintf(stderr, "json_check: %s:%zu: %s\n", argv[1],
-                         line_no, err.c_str());
-            return 1;
-        }
         mithril::obs::JsonValue doc;
         if (!mithril::obs::jsonParse(line, &doc, &err)) {
             std::fprintf(stderr, "json_check: %s:%zu: %s\n", argv[1],

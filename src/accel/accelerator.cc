@@ -27,10 +27,24 @@ AccelResult::filterThroughput(double clock_hz) const
     return throughputBps(decompressed_bytes, t);
 }
 
-Accelerator::Accelerator(AccelConfig config)
-    : config_(config), pipelines_(config.pipelines)
+Accelerator::Accelerator(AccelConfig config, obs::MetricsRegistry *metrics)
+    : config_(config), pipelines_(config.pipelines),
+      metrics_(&obs::registryOrOwn(metrics, &owned_metrics_))
 {
     MITHRIL_ASSERT(config.pipelines >= 1);
+    counters_.batches = &metrics_->counter("accel.batches");
+    counters_.pages_in = &metrics_->counter("accel.pages_in");
+    counters_.lines_in = &metrics_->counter("accel.lines_in");
+    counters_.lines_kept = &metrics_->counter("accel.lines_kept");
+    counters_.busy_cycles = &metrics_->counter("accel.busy_cycles");
+    counters_.stall_cycles = &metrics_->counter("accel.stall_cycles");
+    counters_.decompressed_bytes =
+        &metrics_->counter("accel.decompressed_bytes");
+    counters_.padded_bytes = &metrics_->counter("accel.padded_bytes");
+    counters_.padding_bytes = &metrics_->counter("accel.padding_bytes");
+    counters_.tokenized_words = &metrics_->counter("accel.tokenized_words");
+    counters_.useful_token_bytes =
+        &metrics_->counter("accel.useful_token_bytes");
 }
 
 Status
@@ -126,33 +140,31 @@ Accelerator::process(std::span<const compress::ByteView> pages, Mode mode,
     for (uint64_t c : pipeline_cycles) {
         out->stall_cycles += out->cycles - c;
     }
-    if (metrics_ != nullptr) {
-        meterBatch(*out, pages.size());
-    }
+    meterBatch(*out, pages.size());
     return Status::ok();
 }
 
 void
 Accelerator::meterBatch(const AccelResult &r, uint64_t pages_in)
 {
-    metrics_->counter("accel.batches").add();
-    metrics_->counter("accel.pages_in").add(pages_in);
-    metrics_->counter("accel.lines_in").add(r.lines_in);
-    metrics_->counter("accel.lines_kept").add(r.lines_kept);
-    metrics_->counter("accel.busy_cycles").add(r.cycles);
-    metrics_->counter("accel.stall_cycles").add(r.stall_cycles);
-    metrics_->counter("accel.decompressed_bytes")
-        .add(r.decompressed_bytes);
-    metrics_->counter("accel.padded_bytes").add(r.padded_bytes);
-    metrics_->counter("accel.padding_bytes")
-        .add(r.padded_bytes > r.decompressed_bytes
-                 ? r.padded_bytes - r.decompressed_bytes
-                 : 0);
-    metrics_->counter("accel.tokenized_words").add(r.tokenized_words);
-    metrics_->counter("accel.useful_token_bytes")
-        .add(r.useful_token_bytes);
+    counters_.batches->add();
+    counters_.pages_in->add(pages_in);
+    counters_.lines_in->add(r.lines_in);
+    counters_.lines_kept->add(r.lines_kept);
+    counters_.busy_cycles->add(r.cycles);
+    counters_.stall_cycles->add(r.stall_cycles);
+    counters_.decompressed_bytes->add(r.decompressed_bytes);
+    counters_.padded_bytes->add(r.padded_bytes);
+    counters_.padding_bytes->add(r.padded_bytes > r.decompressed_bytes
+                                     ? r.padded_bytes - r.decompressed_bytes
+                                     : 0);
+    counters_.tokenized_words->add(r.tokenized_words);
+    counters_.useful_token_bytes->add(r.useful_token_bytes);
     if (r.tokenized_words != 0) {
-        metrics_->gauge("accel.useful_ratio").set(r.usefulRatio());
+        if (counters_.useful_ratio == nullptr) {
+            counters_.useful_ratio = &metrics_->gauge("accel.useful_ratio");
+        }
+        counters_.useful_ratio->set(r.usefulRatio());
     }
 }
 

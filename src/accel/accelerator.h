@@ -13,6 +13,7 @@
 #ifndef MITHRIL_ACCEL_ACCELERATOR_H
 #define MITHRIL_ACCEL_ACCELERATOR_H
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -75,19 +76,16 @@ struct AccelResult {
 class Accelerator
 {
   public:
-    explicit Accelerator(AccelConfig config = AccelConfig{});
+    /**
+     * Counts every batch into @p metrics (or, when null, a registry of
+     * its own) under `accel.*`: busy/stall cycles, padding
+     * amplification, useful-bit bytes, lines in/kept, and the
+     * `accel.useful_ratio` gauge.
+     */
+    explicit Accelerator(AccelConfig config = AccelConfig{},
+                         obs::MetricsRegistry *metrics = nullptr);
 
     const AccelConfig &config() const { return config_; }
-
-    /**
-     * Joins the unified metric namespace: per-batch counters under
-     * `accel.*` (busy/stall cycles, padding amplification, useful-bit
-     * bytes, lines in/kept) and the `accel.useful_ratio` gauge.
-     */
-    void bindMetrics(obs::MetricsRegistry *metrics)
-    {
-        metrics_ = metrics;
-    }
 
     /**
      * Programs all pipelines with a batch of queries.
@@ -120,7 +118,26 @@ class Accelerator
     bool programmed_ = false;
     size_t query_count_ = 0;
     std::vector<FilterPipeline> pipelines_;
+    std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
     obs::MetricsRegistry *metrics_ = nullptr;
+
+    /** `accel.*` handles, resolved once at construction. */
+    struct Counters {
+        obs::Counter *batches = nullptr;
+        obs::Counter *pages_in = nullptr;
+        obs::Counter *lines_in = nullptr;
+        obs::Counter *lines_kept = nullptr;
+        obs::Counter *busy_cycles = nullptr;
+        obs::Counter *stall_cycles = nullptr;
+        obs::Counter *decompressed_bytes = nullptr;
+        obs::Counter *padded_bytes = nullptr;
+        obs::Counter *padding_bytes = nullptr;
+        obs::Counter *tokenized_words = nullptr;
+        obs::Counter *useful_token_bytes = nullptr;
+        /** Resolved by the first batch that tokenizes, so a run that
+         *  never filters publishes no ratio. */
+        obs::Gauge *useful_ratio = nullptr;
+    } counters_;
 };
 
 } // namespace mithril::accel

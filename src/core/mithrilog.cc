@@ -18,28 +18,20 @@ using storage::Link;
 using storage::PageId;
 
 MithriLog::MithriLog(MithriLogConfig config)
-    : config_(config), ssd_(config.ssd), journal_(&ssd_),
-      index_(std::make_unique<index::InvertedIndex>(&ssd_, config.index)),
-      typed_index_(std::make_unique<typed::TypedIndex>(&ssd_)),
-      accel_(config.accel)
+    : config_(config),
+      metrics_(&obs::registryOrOwn(config.metrics, &owned_metrics_)),
+      ssd_(config.ssd, metrics_), journal_(&ssd_, metrics_),
+      index_(std::make_unique<index::InvertedIndex>(&ssd_, config.index,
+                                                    metrics_)),
+      typed_index_(std::make_unique<typed::TypedIndex>(&ssd_, metrics_)),
+      accel_(config.accel, metrics_)
 {
-    if (config_.metrics != nullptr) {
-        metrics_ = config_.metrics;
-    } else {
-        owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-        metrics_ = owned_metrics_.get();
-    }
     if (config_.tracer != nullptr) {
         tracer_ = config_.tracer;
     } else {
         owned_tracer_ = std::make_unique<obs::Tracer>();
         tracer_ = owned_tracer_.get();
     }
-    ssd_.bindMetrics(metrics_);
-    journal_.bindMetrics(metrics_);
-    index_->bindMetrics(metrics_);
-    typed_index_->bindMetrics(metrics_);
-    accel_.bindMetrics(metrics_);
 
     counters_.lines_ingested = &metrics_->counter("core.lines_ingested");
     counters_.lines_truncated =
@@ -212,7 +204,12 @@ MithriLog::flush()
     }
     index_->flush();
     typed_index_->flush();
-    metrics_->gauge("lzah.ratio").set(compressionRatio());
+    if (counters_.lzah_ratio == nullptr) {
+        // Resolved by the first flush, so a store that never flushed
+        // publishes no ratio.
+        counters_.lzah_ratio = &metrics_->gauge("lzah.ratio");
+    }
+    counters_.lzah_ratio->set(compressionRatio());
     return Status::ok();
 }
 

@@ -571,6 +571,7 @@ class MithriLog
         obs::Counter *crc_failed_pages = nullptr;
         obs::Counter *pages_dropped = nullptr;
         obs::Counter *ssd_read_retries = nullptr;
+        obs::Gauge *lzah_ratio = nullptr;
     } counters_;
     /** Per-stage latency histograms (obs/histogram.h), dual-domain
      *  where the stage has a modeled cost. */

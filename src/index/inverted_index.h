@@ -33,13 +33,13 @@
 #define MITHRIL_INDEX_INVERTED_INDEX_H
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/hash.h"
-#include "common/stats.h"
 #include "common/status.h"
 #include "obs/metrics.h"
 #include "storage/ssd_model.h"
@@ -71,7 +71,12 @@ struct SnapshotRecord {
 class InvertedIndex
 {
   public:
-    InvertedIndex(storage::SsdModel *ssd, IndexConfig config = IndexConfig{});
+    /** Counts into @p metrics (or, when null, a registry of its own)
+     *  as `index.*`: lookups, pages_returned (candidate pages), node
+     *  flushes and page allocations, snapshots, corrupt refs and node
+     *  CRC recoveries/failures, root visits. */
+    InvertedIndex(storage::SsdModel *ssd, IndexConfig config = IndexConfig{},
+                  obs::MetricsRegistry *metrics = nullptr);
 
     const IndexConfig &config() const { return config_; }
 
@@ -152,17 +157,6 @@ class InvertedIndex
      */
     Status deserialize(std::span<const uint8_t> in);
 
-    /** Counters: leaf/root flushes, lookups, pages returned, ... */
-    const StatSet &stats() const { return stats_; }
-
-    /** Joins the unified metric namespace: counters forward as
-     *  `index.*` (lookups, pages_returned = candidate pages, node
-     *  flushes, corrupt refs). */
-    void bindMetrics(obs::MetricsRegistry *metrics)
-    {
-        stats_.bind(metrics, "index.");
-    }
-
   private:
     static constexpr uint64_t kInvalidRef = ~0ull;
     /** Node references pack (page << 6 | slot). */
@@ -233,7 +227,22 @@ class InvertedIndex
     uint64_t leaves_since_snapshot_ = 0;
     storage::PageId max_data_page_ = 0;
     std::vector<SnapshotRecord> snapshots_;
-    StatSet stats_;
+
+    std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+    /** `index.*` handles, resolved once at construction. */
+    struct Counters {
+        obs::Counter *leaf_pages_allocated = nullptr;
+        obs::Counter *index_pages_allocated = nullptr;
+        obs::Counter *leaf_nodes_flushed = nullptr;
+        obs::Counter *root_nodes_flushed = nullptr;
+        obs::Counter *snapshots = nullptr;
+        obs::Counter *corrupt_refs = nullptr;
+        obs::Counter *node_crc_recoveries = nullptr;
+        obs::Counter *node_crc_failures = nullptr;
+        obs::Counter *root_visits = nullptr;
+        obs::Counter *lookups = nullptr;
+        obs::Counter *pages_returned = nullptr;
+    } counters_;
 };
 
 } // namespace mithril::index

@@ -2,10 +2,10 @@
  * @file
  * mithril::obs — mergeable quantile histograms for tail latency.
  *
- * LogHistogram (metrics.h) answers "what order of magnitude" — fine
- * for sizes and depths, far too coarse for p99/p999 latency, where a
- * power-of-two bucket hides an 8x regression. Histogram here is the
- * tail-latency instrument: log-linear (HDR-style) buckets with
+ * A power-of-two bucket is far too coarse for p99/p999 latency: it
+ * hides an 8x regression. Histogram is the one distribution
+ * instrument, for latencies and for sizes and depths (pages per
+ * batch, queue depth) alike: log-linear (HDR-style) buckets with
  * kSubCount linear sub-buckets per power of two, bounding the relative
  * quantile error at 1/kSubCount (3.125%) over the full uint64 range
  * while staying a fixed-size array of relaxed atomics — recording is

@@ -133,231 +133,8 @@ JsonWriter::value(bool v)
 
 namespace {
 
-/** Recursive-descent JSON validator (syntax only, no value capture). */
-class Validator
-{
-  public:
-    explicit Validator(std::string_view text) : text_(text) {}
-
-    bool
-    run(std::string *err)
-    {
-        bool ok = value() && (skipWs(), pos_ == text_.size());
-        if (!ok && err != nullptr) {
-            *err = error_.empty()
-                       ? "trailing data at offset " + std::to_string(pos_)
-                       : error_;
-        }
-        return ok;
-    }
-
-  private:
-    bool
-    fail(const char *what)
-    {
-        if (error_.empty()) {
-            error_ = std::string(what) + " at offset " +
-                     std::to_string(pos_);
-        }
-        return false;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r')) {
-            ++pos_;
-        }
-    }
-
-    bool
-    literal(std::string_view word)
-    {
-        if (text_.substr(pos_, word.size()) != word) {
-            return fail("bad literal");
-        }
-        pos_ += word.size();
-        return true;
-    }
-
-    bool
-    string()
-    {
-        if (pos_ >= text_.size() || text_[pos_] != '"') {
-            return fail("expected string");
-        }
-        ++pos_;
-        while (pos_ < text_.size()) {
-            char c = text_[pos_];
-            if (c == '"') {
-                ++pos_;
-                return true;
-            }
-            if (static_cast<unsigned char>(c) < 0x20) {
-                return fail("control char in string");
-            }
-            if (c == '\\') {
-                ++pos_;
-                if (pos_ >= text_.size()) {
-                    break;
-                }
-                char e = text_[pos_];
-                if (e == 'u') {
-                    for (int i = 1; i <= 4; ++i) {
-                        if (pos_ + i >= text_.size() ||
-                            !std::isxdigit(static_cast<unsigned char>(
-                                text_[pos_ + i]))) {
-                            return fail("bad \\u escape");
-                        }
-                    }
-                    pos_ += 4;
-                } else if (e != '"' && e != '\\' && e != '/' &&
-                           e != 'b' && e != 'f' && e != 'n' &&
-                           e != 'r' && e != 't') {
-                    return fail("bad escape");
-                }
-            }
-            ++pos_;
-        }
-        return fail("unterminated string");
-    }
-
-    bool
-    number()
-    {
-        size_t start = pos_;
-        if (pos_ < text_.size() && text_[pos_] == '-') {
-            ++pos_;
-        }
-        if (pos_ >= text_.size() ||
-            !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-            return fail("bad number");
-        }
-        while (pos_ < text_.size() &&
-               std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-            ++pos_;
-        }
-        if (pos_ < text_.size() && text_[pos_] == '.') {
-            ++pos_;
-            if (pos_ >= text_.size() ||
-                !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-                return fail("bad fraction");
-            }
-            while (pos_ < text_.size() &&
-                   std::isdigit(
-                       static_cast<unsigned char>(text_[pos_]))) {
-                ++pos_;
-            }
-        }
-        if (pos_ < text_.size() &&
-            (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-            ++pos_;
-            if (pos_ < text_.size() &&
-                (text_[pos_] == '+' || text_[pos_] == '-')) {
-                ++pos_;
-            }
-            if (pos_ >= text_.size() ||
-                !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-                return fail("bad exponent");
-            }
-            while (pos_ < text_.size() &&
-                   std::isdigit(
-                       static_cast<unsigned char>(text_[pos_]))) {
-                ++pos_;
-            }
-        }
-        return pos_ > start;
-    }
-
-    bool
-    value()
-    {
-        skipWs();
-        if (pos_ >= text_.size()) {
-            return fail("unexpected end");
-        }
-        switch (text_[pos_]) {
-        case '{': return object();
-        case '[': return array();
-        case '"': return string();
-        case 't': return literal("true");
-        case 'f': return literal("false");
-        case 'n': return literal("null");
-        default: return number();
-        }
-    }
-
-    bool
-    object()
-    {
-        ++pos_;  // '{'
-        skipWs();
-        if (pos_ < text_.size() && text_[pos_] == '}') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            if (!string()) {
-                return false;
-            }
-            skipWs();
-            if (pos_ >= text_.size() || text_[pos_] != ':') {
-                return fail("expected ':'");
-            }
-            ++pos_;
-            if (!value()) {
-                return false;
-            }
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (pos_ < text_.size() && text_[pos_] == '}') {
-                ++pos_;
-                return true;
-            }
-            return fail("expected ',' or '}'");
-        }
-    }
-
-    bool
-    array()
-    {
-        ++pos_;  // '['
-        skipWs();
-        if (pos_ < text_.size() && text_[pos_] == ']') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            if (!value()) {
-                return false;
-            }
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (pos_ < text_.size() && text_[pos_] == ']') {
-                ++pos_;
-                return true;
-            }
-            return fail("expected ',' or ']'");
-        }
-    }
-
-    std::string_view text_;
-    size_t pos_ = 0;
-    std::string error_;
-};
-
-/** Recursive-descent parser building a JsonValue DOM. Reuses the
- *  validator's grammar; kept separate so the hot validity check never
- *  pays for allocation. */
+/** Recursive-descent parser building a JsonValue DOM; the one reader
+ *  of the grammar (jsonValid() parses and discards the result). */
 class Parser
 {
   public:
@@ -476,6 +253,18 @@ class Parser
         return fail("unterminated string");
     }
 
+    /** Consumes a run of decimal digits; false when there is none. */
+    bool
+    digits()
+    {
+        size_t start = pos_;
+        while (pos_ < text_.size() &&
+               std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+            ++pos_;
+        }
+        return pos_ > start;
+    }
+
     bool
     number(JsonValue *out)
     {
@@ -483,19 +272,29 @@ class Parser
         if (pos_ < text_.size() && text_[pos_] == '-') {
             ++pos_;
         }
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '+' ||
-                text_[pos_] == '-')) {
-            ++pos_;
-        }
-        std::string token(text_.substr(start, pos_ - start));
-        // Lean on the validator for the grammar; then strtod is safe.
-        if (!Validator(token).run(nullptr)) {
-            pos_ = start;
+        if (!digits()) {
             return fail("bad number");
         }
+        if (pos_ < text_.size() && text_[pos_] == '.') {
+            ++pos_;
+            if (!digits()) {
+                return fail("bad fraction");
+            }
+        }
+        if (pos_ < text_.size() &&
+            (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+            ++pos_;
+            if (pos_ < text_.size() &&
+                (text_[pos_] == '+' || text_[pos_] == '-')) {
+                ++pos_;
+            }
+            if (!digits()) {
+                return fail("bad exponent");
+            }
+        }
+        // The grammar above guarantees strtod consumes exactly the
+        // token.
+        std::string token(text_.substr(start, pos_ - start));
         out->kind = JsonValue::Kind::kNumber;
         out->number = std::strtod(token.c_str(), nullptr);
         return true;
@@ -608,7 +407,8 @@ class Parser
 bool
 jsonValid(std::string_view text, std::string *err)
 {
-    return Validator(text).run(err);
+    JsonValue discarded;
+    return jsonParse(text, &discarded, err);
 }
 
 const JsonValue *

@@ -1,9 +1,9 @@
 /**
  * @file
  * Minimal JSON utilities for the observability layer: a streaming
- * writer (commas and escaping handled), and a strict validity checker
- * used by tests and the bench-output checker. No external
- * dependencies, by repo policy.
+ * writer (commas and escaping handled), and a strict parser used by
+ * tests and the bench-output checker. No external dependencies, by
+ * repo policy.
  */
 #ifndef MITHRIL_OBS_JSON_H
 #define MITHRIL_OBS_JSON_H
@@ -58,16 +58,16 @@ class JsonWriter
 };
 
 /**
- * Strict syntax check of one complete JSON document.
+ * Strict syntax check of one complete JSON document: jsonParse() with
+ * the result discarded.
  * @param err if non-null, receives a short description on failure.
  */
 bool jsonValid(std::string_view text, std::string *err = nullptr);
 
 /**
- * Parsed JSON document (a small DOM), for the schema checks the
- * syntax-only validator cannot express — e.g. json_check verifying
- * that a metrics snapshot's histogram quantiles are internally
- * consistent. Numbers are held as double (every value the
+ * Parsed JSON document (a small DOM), for schema checks — e.g.
+ * json_check verifying that a metrics snapshot's histogram quantiles
+ * are internally consistent. Numbers are held as double (every value the
  * observability layer emits fits), object members keep insertion
  * order, and lookup is linear — fine at telemetry sizes.
  */

@@ -56,19 +56,6 @@ MetricsRegistry::gauge(std::string_view name,
         [] { return std::make_unique<Gauge>(); });
 }
 
-LogHistogram &
-MetricsRegistry::histogram(std::string_view name,
-                           std::initializer_list<Label> labels)
-{
-    auto make = [] { return std::make_unique<LogHistogram>(); };
-    MutexLock lock(mu_);
-    if (labels.size() == 0) {
-        return findOrCreateLocked(histograms_, name, make);
-    }
-    return findOrCreateLocked(histograms_, fullName(name, labels),
-                              make);
-}
-
 Histogram &
 MetricsRegistry::quantileHistogram(std::string_view name,
                                    std::initializer_list<Label> labels)
@@ -101,18 +88,6 @@ MetricsRegistry::snapshot() const
     for (const auto &[name, g] : gauges_) {
         snap.gauges.emplace(name, g->value());
     }
-    for (const auto &[name, h] : histograms_) {
-        MetricsSnapshot::HistogramData data;
-        data.count = h->count();
-        data.sum = h->sum();
-        for (size_t i = 0; i < LogHistogram::kBuckets; ++i) {
-            uint64_t c = h->bucketCount(i);
-            if (c != 0) {
-                data.buckets.emplace_back(LogHistogram::bucketLo(i), c);
-            }
-        }
-        snap.histograms.emplace(name, std::move(data));
-    }
     for (const auto &[name, h] : quantile_histograms_) {
         MetricsSnapshot::QuantileHistogramData data;
         data.count = h->count();
@@ -129,6 +104,17 @@ MetricsRegistry::snapshot() const
         snap.quantile_histograms.emplace(name, std::move(data));
     }
     return snap;
+}
+
+MetricsRegistry &
+registryOrOwn(MetricsRegistry *given,
+              std::unique_ptr<MetricsRegistry> *owned)
+{
+    if (given != nullptr) {
+        return *given;
+    }
+    *owned = std::make_unique<MetricsRegistry>();
+    return **owned;
 }
 
 } // namespace mithril::obs

@@ -25,30 +25,6 @@ metricsToJson(const MetricsSnapshot &snapshot)
     }
     w.endObject();
 
-    w.key("histograms");
-    w.beginObject();
-    for (const auto &[name, h] : snapshot.histograms) {
-        w.key(name);
-        w.beginObject();
-        w.key("count");
-        w.value(h.count);
-        w.key("sum");
-        w.value(h.sum);
-        w.key("buckets");
-        w.beginArray();
-        for (const auto &[lo, count] : h.buckets) {
-            w.beginObject();
-            w.key("lo");
-            w.value(lo);
-            w.key("count");
-            w.value(count);
-            w.endObject();
-        }
-        w.endArray();
-        w.endObject();
-    }
-    w.endObject();
-
     w.key("quantiles");
     w.beginObject();
     for (const auto &[name, h] : snapshot.quantile_histograms) {

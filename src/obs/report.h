@@ -27,9 +27,6 @@ namespace mithril::obs {
  * {
  *   "counters":   {"ssd.pages_read": 123, ...},
  *   "gauges":     {"lzah.ratio": 2.1, ...},
- *   "histograms": {"ssd.batch_pages":
- *                    {"count": n, "sum": s,
- *                     "buckets": [{"lo": 1, "count": 4}, ...]}, ...},
  *   "quantiles":  {"svc.queue_wait.sim_ps":
  *                    {"count": n, "sum": s, "min": m, "max": M,
  *                     "p50": ..., "p90": ..., "p99": ..., "p999": ...,

@@ -39,7 +39,9 @@ namespace mithril::query {
 struct Term {
     std::string token;
     bool negated = false;
-    typed::Predicate typed;
+    /** Default-initialized here so `{token, negated}` keyword terms
+     *  need not spell out the inactive predicate. */
+    typed::Predicate typed{};
 
     bool operator==(const Term &) const = default;
 

@@ -76,43 +76,25 @@ encodeRecord(uint8_t *slot, uint32_t kind, uint64_t arg,
 
 } // namespace
 
-void
-Journal::bindMetrics(obs::MetricsRegistry *metrics)
+Journal::Journal(SsdModel *ssd, obs::MetricsRegistry *metrics) : ssd_(ssd)
 {
-    if (metrics != nullptr) {
-        obs_records_ = &metrics->counter("journal.records");
-        obs_page_writes_ = &metrics->counter("journal.page_writes");
-        obs_reopens_ = &metrics->counter("journal.reopens");
-        obs_checkpoints_ = &metrics->counter("journal.checkpoints");
-        obs_generation_ = &metrics->gauge("journal.generation");
-        obs_chain_records_ = &metrics->gauge("journal.chain_records");
-        obs_snapshot_records_ =
-            &metrics->gauge("journal.snapshot_records");
-        updateObsGauges();
-    } else {
-        obs_records_ = nullptr;
-        obs_page_writes_ = nullptr;
-        obs_reopens_ = nullptr;
-        obs_checkpoints_ = nullptr;
-        obs_generation_ = nullptr;
-        obs_chain_records_ = nullptr;
-        obs_snapshot_records_ = nullptr;
-    }
+    obs::MetricsRegistry &m = obs::registryOrOwn(metrics, &owned_metrics_);
+    obs_records_ = &m.counter("journal.records");
+    obs_page_writes_ = &m.counter("journal.page_writes");
+    obs_reopens_ = &m.counter("journal.reopens");
+    obs_checkpoints_ = &m.counter("journal.checkpoints");
+    obs_generation_ = &m.gauge("journal.generation");
+    obs_chain_records_ = &m.gauge("journal.chain_records");
+    obs_snapshot_records_ = &m.gauge("journal.snapshot_records");
+    updateObsGauges();
 }
 
 void
 Journal::updateObsGauges()
 {
-    if (obs_generation_ != nullptr) {
-        obs_generation_->set(static_cast<double>(generation_));
-    }
-    if (obs_chain_records_ != nullptr) {
-        obs_chain_records_->set(static_cast<double>(chainRecords()));
-    }
-    if (obs_snapshot_records_ != nullptr) {
-        obs_snapshot_records_->set(
-            static_cast<double>(snapshotRecords()));
-    }
+    obs_generation_->set(static_cast<double>(generation_));
+    obs_chain_records_->set(static_cast<double>(chainRecords()));
+    obs_snapshot_records_->set(static_cast<double>(snapshotRecords()));
 }
 
 void
@@ -132,9 +114,7 @@ Status
 Journal::writeCurrentPage()
 {
     ++page_writes_;
-    if (obs_page_writes_ != nullptr) {
-        obs_page_writes_->add();
-    }
+    obs_page_writes_->add();
     return ssd_->writePage(cur_, cur_image_);
 }
 
@@ -154,9 +134,7 @@ Journal::writeSuperblock(uint64_t epoch, uint64_t flags)
     putLe(sb, crc32(sb.data(), sb.size()));
     sb.resize(kPageSize, 0);
     ++page_writes_;
-    if (obs_page_writes_ != nullptr) {
-        obs_page_writes_->add();
-    }
+    obs_page_writes_->add();
     MITHRIL_RETURN_IF_ERROR(ssd_->writePage(superSlot(epoch), sb));
     epoch_ = epoch;
     return Status::ok();
@@ -239,9 +217,7 @@ Journal::writeSnapshot(PageId *head_out)
         }
         image.resize(kPageSize, 0);
         ++page_writes_;
-        if (obs_page_writes_ != nullptr) {
-            obs_page_writes_->add();
-        }
+        obs_page_writes_->add();
         MITHRIL_RETURN_IF_ERROR(ssd_->writePage(ids[pg], image));
     }
     snapshot_pages_ = ids;
@@ -288,9 +264,7 @@ Journal::checkpoint(bool sealed)
         MITHRIL_RETURN_IF_ERROR(ssd_->store().free(p));
     }
     ++checkpoints_;
-    if (obs_checkpoints_ != nullptr) {
-        obs_checkpoints_->add();
-    }
+    obs_checkpoints_->add();
     updateObsGauges();
     return Status::ok();
 }
@@ -334,9 +308,7 @@ Journal::reopen(const ReplayResult &rr, uint64_t accepted_records)
         MITHRIL_RETURN_IF_ERROR(
             writeSuperblock(rr.epoch + 1, /*flags=*/0));
         ++reopens_;
-        if (obs_reopens_ != nullptr) {
-            obs_reopens_->add();
-        }
+        obs_reopens_->add();
         updateObsGauges();
         MITHRIL_RETURN_IF_ERROR(ssd_->flushBarrier());
         // The old chain + snapshot became unreachable at the bump;
@@ -371,9 +343,7 @@ Journal::reopen(const ReplayResult &rr, uint64_t accepted_records)
         ++next_seq_;
         ++cur_count_;
         ++records_appended_;
-        if (obs_records_ != nullptr) {
-            obs_records_->add();
-        }
+        obs_records_->add();
     }
     // New chain head first, superblock second: a cut between the two
     // leaves the old superblock pointing at the old chain, and the old
@@ -384,9 +354,7 @@ Journal::reopen(const ReplayResult &rr, uint64_t accepted_records)
         (rr.found ? rr.epoch : 0) + 1,
         chained_ ? kFlagChained : 0));
     ++reopens_;
-    if (obs_reopens_ != nullptr) {
-        obs_reopens_->add();
-    }
+    obs_reopens_->add();
     updateObsGauges();
     return ssd_->flushBarrier();
 }
@@ -418,13 +386,9 @@ Journal::appendRecord(uint32_t kind, uint64_t arg, uint32_t page_crc,
                      kLink, next, 0, 0, 0, next_seq_, generation_);
         ++next_seq_;
         ++records_appended_;
-        if (obs_records_ != nullptr) {
-            obs_records_->add();
-        }
+        obs_records_->add();
         ++page_writes_;
-        if (obs_page_writes_ != nullptr) {
-            obs_page_writes_->add();
-        }
+        obs_page_writes_->add();
         MITHRIL_RETURN_IF_ERROR(ssd_->writePage(saved_page, saved));
     }
     encodeRecord(cur_image_.data() + kHeaderBytes +
@@ -434,12 +398,8 @@ Journal::appendRecord(uint32_t kind, uint64_t arg, uint32_t page_crc,
     ++next_seq_;
     ++cur_count_;
     ++records_appended_;
-    if (obs_records_ != nullptr) {
-        obs_records_->add();
-    }
-    if (obs_chain_records_ != nullptr) {
-        obs_chain_records_->set(static_cast<double>(chainRecords()));
-    }
+    obs_records_->add();
+    obs_chain_records_->set(static_cast<double>(chainRecords()));
     return writeCurrentPage();
 }
 

@@ -80,6 +80,7 @@
 #define MITHRIL_STORAGE_JOURNAL_H
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -122,10 +123,10 @@ class Journal
         std::vector<PageId> snapshot_pages;
     };
 
-    explicit Journal(SsdModel *ssd) : ssd_(ssd) {}
-
-    /** Joins the unified metric namespace as `journal.*` counters. */
-    void bindMetrics(obs::MetricsRegistry *metrics);
+    /** Counts into @p metrics (or, when null, a registry of its own)
+     *  as `journal.*`: records, page writes, reopens, checkpoints, and
+     *  the generation / chain / snapshot record gauges. */
+    explicit Journal(SsdModel *ssd, obs::MetricsRegistry *metrics = nullptr);
 
     /** True once format() ran (or a cursor was deserialized). */
     bool formatted() const { return head_ != kInvalidPage; }
@@ -291,6 +292,7 @@ class Journal
     std::vector<uint8_t> cur_image_;
     uint64_t records_appended_ = 0;
     uint64_t page_writes_ = 0;
+    std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
     obs::Counter *obs_records_ = nullptr;
     obs::Counter *obs_page_writes_ = nullptr;
     obs::Counter *obs_reopens_ = nullptr;

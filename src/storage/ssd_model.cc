@@ -5,32 +5,32 @@
 
 namespace mithril::storage {
 
-SsdModel::SsdModel(SsdConfig config) : config_(config) {}
-
-void
-SsdModel::bindMetrics(obs::MetricsRegistry *metrics)
+SsdModel::SsdModel(SsdConfig config, obs::MetricsRegistry *metrics)
+    : config_(config),
+      metrics_(&obs::registryOrOwn(metrics, &owned_metrics_))
 {
-    metrics_ = metrics;
-    if (metrics_ != nullptr) {
-        stats_.bind(metrics_, "ssd.");
-        link_busy_[0] = &metrics_->counter("ssd.internal_link_busy_ps");
-        link_busy_[1] = &metrics_->counter("ssd.external_link_busy_ps");
-        batch_pages_ = &metrics_->histogram("ssd.batch_pages");
-    } else {
-        stats_.bind(nullptr, "");
-        link_busy_[0] = link_busy_[1] = nullptr;
-        batch_pages_ = nullptr;
-    }
-    if (fault_plan_ != nullptr) {
-        fault_plan_->bindMetrics(metrics_);
-    }
+    counters_.pages_read = &metrics_->counter("ssd.pages_read");
+    counters_.bytes_read = &metrics_->counter("ssd.bytes_read");
+    counters_.pages_written = &metrics_->counter("ssd.pages_written");
+    counters_.bytes_written = &metrics_->counter("ssd.bytes_written");
+    counters_.read_commands = &metrics_->counter("ssd.read_commands");
+    counters_.chained_reads = &metrics_->counter("ssd.chained_reads");
+    counters_.overlapped_reads =
+        &metrics_->counter("ssd.overlapped_reads");
+    counters_.read_retries = &metrics_->counter("ssd.read_retries");
+    counters_.flushes = &metrics_->counter("ssd.flushes");
+    counters_.link_busy_ps[0] =
+        &metrics_->counter("ssd.internal_link_busy_ps");
+    counters_.link_busy_ps[1] =
+        &metrics_->counter("ssd.external_link_busy_ps");
+    counters_.batch_pages = &metrics_->quantileHistogram("ssd.batch_pages");
 }
 
 void
 SsdModel::attachFaultPlan(fault::FaultPlan *plan)
 {
     fault_plan_ = plan;
-    if (fault_plan_ != nullptr && metrics_ != nullptr) {
+    if (fault_plan_ != nullptr) {
         fault_plan_->bindMetrics(metrics_);
     }
 }
@@ -43,13 +43,15 @@ SsdModel::bandwidth(Link link) const
 }
 
 void
-SsdModel::meterTransfer(uint64_t pages, SimTime busy, Link link)
+SsdModel::meterRead(uint64_t pages, SimTime busy, Link link,
+                    obs::Counter *kind)
 {
-    if (metrics_ == nullptr) {
-        return;
-    }
-    link_busy_[link == Link::kInternal ? 0 : 1]->add(busy.ps());
-    batch_pages_->record(
+    clock_ += busy;
+    counters_.pages_read->add(pages);
+    counters_.bytes_read->add(pages * kPageSize);
+    kind->add();
+    counters_.link_busy_ps[link == Link::kInternal ? 0 : 1]->add(busy.ps());
+    counters_.batch_pages->record(
         std::min<uint64_t>(pages, config_.parallel_commands));
 }
 
@@ -120,8 +122,8 @@ SsdModel::writePage(PageId id, std::span<const uint8_t> data)
             std::to_string(data.size()) + " bytes");
     }
     clock_ += SimTime::transfer(kPageSize, config_.internal_bw_bps);
-    stats_.add("pages_written");
-    stats_.add("bytes_written", data.size());
+    counters_.pages_written->add();
+    counters_.bytes_written->add(data.size());
     if (fault_plan_ != nullptr) {
         fault::WriteFault f = fault_plan_->drawWrite(id, data.size());
         if (f.power_cut) {
@@ -157,8 +159,8 @@ SsdModel::writePhysical(uint64_t slot, std::span<const uint8_t> data)
             std::to_string(data.size()) + " bytes");
     }
     clock_ += SimTime::transfer(kPageSize, config_.internal_bw_bps);
-    stats_.add("pages_written");
-    stats_.add("bytes_written", data.size());
+    counters_.pages_written->add();
+    counters_.bytes_written->add(data.size());
     if (fault_plan_ != nullptr) {
         fault::WriteFault f = fault_plan_->drawWrite(slot, data.size());
         if (f.power_cut) {
@@ -184,12 +186,8 @@ SsdModel::readPhysical(uint64_t slot, std::span<const uint8_t> *out)
     if (power_lost_) {
         return Status::unavailable("device power lost");
     }
-    SimTime busy = SimTime::transfer(kPageSize, config_.internal_bw_bps);
-    clock_ += busy;
-    stats_.add("pages_read");
-    stats_.add("bytes_read", kPageSize);
-    stats_.add("overlapped_reads");
-    meterTransfer(1, busy, Link::kInternal);
+    meterRead(1, SimTime::transfer(kPageSize, config_.internal_bw_bps),
+              Link::kInternal, counters_.overlapped_reads);
     return store_.readPhysical(slot, out);
 }
 
@@ -200,7 +198,7 @@ SsdModel::flushBarrier()
         return Status::unavailable("device power lost");
     }
     clock_ += config_.flush_latency;
-    stats_.add("flushes");
+    counters_.flushes->add();
     return Status::ok();
 }
 
@@ -229,7 +227,7 @@ SsdModel::fetchPage(PageId id, std::vector<uint8_t> *out)
         if (attempt > 0) {
             clock_ +=
                 config_.read_latency + fault_plan_->config().retry_backoff;
-            stats_.add("read_retries");
+            counters_.read_retries->add();
         }
         fault::ReadFault f = fault_plan_->drawRead(id, kPageSize);
         if (f.failed()) {
@@ -257,12 +255,8 @@ SsdModel::readBatch(std::span<const PageId> ids, Link link,
     for (PageId id : ids) {
         MITHRIL_RETURN_IF_ERROR(fetchPage(id, &batch));
     }
-    SimTime busy = timeBatchRead(ids.size(), link);
-    clock_ += busy;
-    stats_.add("pages_read", ids.size());
-    stats_.add("bytes_read", ids.size() * kPageSize);
-    stats_.add("read_commands");
-    meterTransfer(ids.size(), busy, link);
+    meterRead(ids.size(), timeBatchRead(ids.size(), link), link,
+              counters_.read_commands);
     out->insert(out->end(), batch.begin(), batch.end());
     return Status::ok();
 }
@@ -270,24 +264,17 @@ SsdModel::readBatch(std::span<const PageId> ids, Link link,
 void
 SsdModel::chargeOverlappedRead(uint64_t pages, Link link)
 {
-    SimTime busy = SimTime::transfer(pages * kPageSize, bandwidth(link));
-    clock_ += busy;
-    stats_.add("pages_read", pages);
-    stats_.add("bytes_read", pages * kPageSize);
-    stats_.add("overlapped_reads");
-    meterTransfer(pages, busy, link);
+    meterRead(pages, SimTime::transfer(pages * kPageSize, bandwidth(link)),
+              link, counters_.overlapped_reads);
 }
 
 Status
 SsdModel::readChained(PageId id, Link link, std::vector<uint8_t> *out)
 {
-    SimTime busy = config_.read_latency +
-                   SimTime::transfer(kPageSize, bandwidth(link));
-    clock_ += busy;
-    stats_.add("pages_read");
-    stats_.add("bytes_read", kPageSize);
-    stats_.add("chained_reads");
-    meterTransfer(1, busy, link);
+    meterRead(1,
+              config_.read_latency +
+                  SimTime::transfer(kPageSize, bandwidth(link)),
+              link, counters_.chained_reads);
     out->clear();
     return fetchPage(id, out);
 }
@@ -295,12 +282,8 @@ SsdModel::readChained(PageId id, Link link, std::vector<uint8_t> *out)
 Status
 SsdModel::readOverlapped(PageId id, Link link, std::vector<uint8_t> *out)
 {
-    SimTime busy = SimTime::transfer(kPageSize, bandwidth(link));
-    clock_ += busy;
-    stats_.add("pages_read");
-    stats_.add("bytes_read", kPageSize);
-    stats_.add("overlapped_reads");
-    meterTransfer(1, busy, link);
+    meterRead(1, SimTime::transfer(kPageSize, bandwidth(link)), link,
+              counters_.overlapped_reads);
     out->clear();
     return fetchPage(id, out);
 }
@@ -311,13 +294,10 @@ SsdModel::rereadPage(PageId id, Link link, std::vector<uint8_t> *out)
     SimTime backoff = fault_plan_ != nullptr
                           ? fault_plan_->config().retry_backoff
                           : SimTime();
-    SimTime busy = backoff + config_.read_latency +
-                   SimTime::transfer(kPageSize, bandwidth(link));
-    clock_ += busy;
-    stats_.add("read_retries");
-    stats_.add("pages_read");
-    stats_.add("bytes_read", kPageSize);
-    meterTransfer(1, busy, link);
+    meterRead(1,
+              backoff + config_.read_latency +
+                  SimTime::transfer(kPageSize, bandwidth(link)),
+              link, counters_.read_retries);
     out->clear();
     return fetchPage(id, out);
 }

@@ -21,11 +21,11 @@
 #define MITHRIL_STORAGE_SSD_MODEL_H
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/simtime.h"
-#include "common/stats.h"
 #include "common/status.h"
 #include "fault/fault_plan.h"
 #include "obs/metrics.h"
@@ -81,7 +81,16 @@ comparisonSsdConfig()
 class SsdModel
 {
   public:
-    explicit SsdModel(SsdConfig config = SsdConfig{});
+    /**
+     * Counts into @p metrics (or, when null, a registry of its own):
+     * `ssd.pages_read`/`pages_written`, `bytes_*`, the read command
+     * kinds, `flushes`, `read_retries`, per-link busy time
+     * (`ssd.internal_link_busy_ps` / `ssd.external_link_busy_ps`) and
+     * the `ssd.batch_pages` histogram (independent commands in flight
+     * per batch, capped by parallel_commands).
+     */
+    explicit SsdModel(SsdConfig config = SsdConfig{},
+                      obs::MetricsRegistry *metrics = nullptr);
 
     PageStore &store() { return store_; }
     const PageStore &store() const { return store_; }
@@ -93,21 +102,9 @@ class SsdModel
     /** Resets the modeled clock (not the stored data or counters). */
     void resetClock() { clock_ = SimTime(); }
 
-    /** Device counters: pages_read, pages_written, bytes_*, commands. */
-    const StatSet &stats() const { return stats_; }
-    StatSet &stats() { return stats_; }
-
     /**
-     * Joins the unified metric namespace: legacy counters forward as
-     * `ssd.*`, and the model additionally records per-link busy time
-     * (`ssd.internal_link_busy_ps` / `ssd.external_link_busy_ps`) and
-     * a queue-depth histogram (`ssd.batch_pages`, the independent
-     * commands in flight per batch, capped by parallel_commands).
-     */
-    void bindMetrics(obs::MetricsRegistry *metrics);
-
-    /**
-     * Attaches a fault plan (non-owning; may be null to detach).
+     * Attaches a fault plan (non-owning; may be null to detach) and
+     * binds it to the model's registry.
      *
      * With a plan attached every data-moving read consults it: timeouts
      * and ECC-uncorrectable outcomes are retried up to the plan's
@@ -221,20 +218,46 @@ class SsdModel
      *  only. The caller reads the data through store(). */
     void chargeOverlappedRead(uint64_t pages, Link link);
 
+    /** Counts one page an upper layer programmed through store()
+     *  directly (index nodes): `ssd.pages_written` and
+     *  `ssd.bytes_written` only, with no modeled time and no fault
+     *  draw. */
+    void countDirectWrite()
+    {
+        counters_.pages_written->add();
+        counters_.bytes_written->add(kPageSize);
+    }
+
   private:
     double bandwidth(Link link) const;
-    void meterTransfer(uint64_t pages, SimTime busy, Link link);
+    /** Charges @p busy and counts @p pages read over @p link as one
+     *  command of @p kind. */
+    void meterRead(uint64_t pages, SimTime busy, Link link,
+                   obs::Counter *kind);
     Status fetchPage(PageId id, std::vector<uint8_t> *out);
 
     SsdConfig config_;
     PageStore store_;
     SimTime clock_;
-    StatSet stats_;
     bool power_lost_ = false;
     fault::FaultPlan *fault_plan_ = nullptr;
+    std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
     obs::MetricsRegistry *metrics_ = nullptr;
-    obs::Counter *link_busy_[2] = {nullptr, nullptr};
-    obs::LogHistogram *batch_pages_ = nullptr;
+
+    /** `ssd.*` handles, resolved once at construction. */
+    struct Counters {
+        obs::Counter *pages_read = nullptr;
+        obs::Counter *bytes_read = nullptr;
+        obs::Counter *pages_written = nullptr;
+        obs::Counter *bytes_written = nullptr;
+        obs::Counter *read_commands = nullptr;
+        obs::Counter *chained_reads = nullptr;
+        obs::Counter *overlapped_reads = nullptr;
+        obs::Counter *read_retries = nullptr;
+        obs::Counter *flushes = nullptr;
+        obs::Counter *link_busy_ps[2] = {};  ///< internal, external
+        obs::Histogram *batch_pages = nullptr;
+    } counters_;
 };
 
 } // namespace mithril::storage

@@ -32,12 +32,7 @@ LogService::LogService(LogServiceConfig config)
     : config_(normalize(std::move(config))),
       tasks_(config_.shards * 4 + 64)
 {
-    if (config_.metrics != nullptr) {
-        metrics_ = config_.metrics;
-    } else {
-        owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-        metrics_ = owned_metrics_.get();
-    }
+    metrics_ = &obs::registryOrOwn(config_.metrics, &owned_metrics_);
     if (config_.tracer != nullptr) {
         tracer_ = config_.tracer;
     } else {
@@ -54,8 +49,10 @@ LogService::LogService(LogServiceConfig config)
     counters_.queries = &metrics_->counter("svc.queries");
     counters_.shard_queries = &metrics_->counter("svc.shard_queries");
     counters_.checkpoints = &metrics_->counter("svc.checkpoints");
-    counters_.batch_lines = &metrics_->histogram("svc.batch_lines");
-    counters_.queue_depth = &metrics_->histogram("svc.queue_depth");
+    counters_.batch_lines = &metrics_->quantileHistogram("svc.batch_lines");
+    counters_.queue_depth = &metrics_->quantileHistogram("svc.queue_depth");
+    counters_.shard_imbalance_pct =
+        &metrics_->gauge("svc.shard_imbalance_pct");
     stages_.queue_wait = obs::StageLatency(metrics_, "svc.queue_wait");
     stages_.batch_apply =
         obs::StageLatency(metrics_, "svc.batch_apply");
@@ -570,8 +567,7 @@ LogService::mergeResults(std::vector<core::QueryResult> &shard_results,
         b.degraded_typed_scan =
             b.degraded_typed_scan || sb.degraded_typed_scan;
     }
-    metrics_->gauge("svc.shard_imbalance_pct")
-        .set(out->shardImbalancePct());
+    counters_.shard_imbalance_pct->set(out->shardImbalancePct());
 }
 
 double

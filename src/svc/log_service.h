@@ -333,8 +333,9 @@ class LogService
         obs::Counter *queries = nullptr;
         obs::Counter *shard_queries = nullptr;
         obs::Counter *checkpoints = nullptr;
-        obs::LogHistogram *batch_lines = nullptr;
-        obs::LogHistogram *queue_depth = nullptr;
+        obs::Histogram *batch_lines = nullptr;
+        obs::Histogram *queue_depth = nullptr;
+        obs::Gauge *shard_imbalance_pct = nullptr;
     } counters_;
 
     /** Per-stage latency histograms (obs/histogram.h): the request

@@ -32,10 +32,10 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <span>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/status.h"
 #include "obs/metrics.h"
 #include "storage/ssd_model.h"
@@ -60,7 +60,12 @@ struct LookupResult {
 class TypedIndex
 {
   public:
-    explicit TypedIndex(storage::SsdModel *ssd);
+    /** Counts into @p metrics (or, when null, a registry of its own)
+     *  as `typed.*`: postings, pages and bytes written/read, records
+     *  flushed, lookups, lines returned, corrupt pages and page CRC
+     *  recoveries. */
+    explicit TypedIndex(storage::SsdModel *ssd,
+                        obs::MetricsRegistry *metrics = nullptr);
 
     /** Ingest: extracts every typed key of @p line (0-based global
      *  @p line_no) into the pending posting lists. */
@@ -108,15 +113,6 @@ class TypedIndex
      *  @retval kCorruptData malformed blob. */
     Status deserialize(std::span<const uint8_t> in);
 
-    /** Counters: keys, postings, pages written/read, corrupt pages. */
-    const StatSet &stats() const { return stats_; }
-
-    /** Joins the unified metric namespace as `typed.*`. */
-    void bindMetrics(obs::MetricsRegistry *metrics)
-    {
-        stats_.bind(metrics, "typed.");
-    }
-
     size_t memoryFootprint() const;
 
   private:
@@ -142,7 +138,20 @@ class TypedIndex
     storage::SsdModel *ssd_;
     std::map<TypedKey, KeyEntry> keys_;
     std::vector<PageSpan> page_dir_;
-    StatSet stats_;
+
+    std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+    /** `typed.*` handles, resolved once at construction. */
+    struct Counters {
+        obs::Counter *postings = nullptr;
+        obs::Counter *pages_written = nullptr;
+        obs::Counter *bytes_written = nullptr;
+        obs::Counter *records_flushed = nullptr;
+        obs::Counter *lookups = nullptr;
+        obs::Counter *page_crc_recoveries = nullptr;
+        obs::Counter *pages_read = nullptr;
+        obs::Counter *corrupt_pages = nullptr;
+        obs::Counter *lines_returned = nullptr;
+    } counters_;
 };
 
 } // namespace mithril::typed

@@ -395,11 +395,52 @@ TEST(MithriLogTest, ExternalRegistryIsShared)
     cfg.metrics = &registry;
     cfg.tracer = &tracer;
     MithriLog system(cfg);
-    ASSERT_TRUE(system.ingestText("alpha beta\n").isOk());
+    std::string text;
+    for (int i = 0; i < 3000; ++i) {
+        text += "RAS KERNEL INFO cache parity error seq" +
+                std::to_string(i) + " src=10.1.2." +
+                std::to_string(i % 50) + "\n";
+    }
+    ASSERT_TRUE(system.ingestText(text).isOk());
     EXPECT_TRUE(system.flush().isOk());
     EXPECT_EQ(&system.metrics(), &registry);
     EXPECT_EQ(&system.tracer(), &tracer);
-    EXPECT_EQ(registry.counterValue("core.lines_ingested"), 1u);
+    EXPECT_EQ(registry.counterValue("core.lines_ingested"), 3000u);
+
+    QueryResult keyword, typed;
+    ASSERT_TRUE(system.run(mustParse("seq42"), &keyword).isOk());
+    ASSERT_TRUE(system.run(mustParse("ip:10.1.2.7"), &typed).isOk());
+    EXPECT_EQ(keyword.matched_lines, 1u);
+    EXPECT_EQ(typed.matched_lines, 60u);
+
+    // The storage, index and typed tiers count into the store's
+    // registry under their subsystem names.
+    for (const char *name :
+         {"ssd.pages_written", "ssd.bytes_written", "ssd.pages_read",
+          "ssd.bytes_read", "ssd.flushes", "ssd.chained_reads",
+          "ssd.overlapped_reads", "index.leaf_pages_allocated",
+          "index.index_pages_allocated", "index.leaf_nodes_flushed",
+          "index.root_nodes_flushed", "index.root_visits",
+          "index.lookups", "index.pages_returned", "typed.postings",
+          "typed.pages_written", "typed.bytes_written",
+          "typed.records_flushed", "typed.lookups", "typed.pages_read",
+          "typed.lines_returned"}) {
+        EXPECT_GT(registry.counterValue(name), 0u) << name;
+    }
+
+    // Recovery rebuilds both indexes from the device into the mounted
+    // store's own registry.
+    std::string path = ::testing::TempDir() + "mithrilog_registry.img";
+    ASSERT_TRUE(system.saveDeviceImage(path).isOk());
+    MithriLog mounted;
+    ASSERT_TRUE(mounted.recover(path).isOk());
+    std::remove(path.c_str());
+    for (const char *name :
+         {"ssd.pages_read", "ssd.bytes_read", "index.leaf_nodes_flushed",
+          "index.root_nodes_flushed", "typed.postings",
+          "typed.pages_written"}) {
+        EXPECT_GT(mounted.metrics().counterValue(name), 0u) << name;
+    }
 }
 
 } // namespace

@@ -41,11 +41,12 @@ TEST(InvertedIndexTest, BufferedLookupWithoutFlush)
 
 TEST(InvertedIndexTest, SpillsToLeafNodesBeyondBuffer)
 {
+    obs::MetricsRegistry metrics;
     storage::SsdModel ssd;
-    InvertedIndex idx(&ssd, smallConfig());
+    InvertedIndex idx(&ssd, smallConfig(), &metrics);
     // 100 pages >> 16-slot buffer: leaves must be written.
     addRange(&idx, "beta", 0, 99);
-    EXPECT_GT(idx.stats().get("leaf_nodes_flushed"), 0u);
+    EXPECT_GT(metrics.counterValue("index.leaf_nodes_flushed"), 0u);
     auto pages = idx.lookup("beta");
     ASSERT_EQ(pages.size(), 100u);
     for (PageId p = 0; p < 100; ++p) {
@@ -55,16 +56,17 @@ TEST(InvertedIndexTest, SpillsToLeafNodesBeyondBuffer)
 
 TEST(InvertedIndexTest, RootListBeyondOneTree)
 {
+    obs::MetricsRegistry metrics;
     storage::SsdModel ssd;
-    InvertedIndex idx(&ssd, smallConfig());
+    InvertedIndex idx(&ssd, smallConfig(), &metrics);
     // 16 x 16 = 256 pages per tree; 600 pages forces multiple roots.
     addRange(&idx, "gamma", 0, 599);
     idx.flush();
-    EXPECT_GT(idx.stats().get("root_nodes_flushed"), 1u);
+    EXPECT_GT(metrics.counterValue("index.root_nodes_flushed"), 1u);
     auto pages = idx.lookup("gamma");
     ASSERT_EQ(pages.size(), 600u);
     EXPECT_TRUE(std::is_sorted(pages.begin(), pages.end()));
-    EXPECT_GT(idx.stats().get("root_visits"), 0u);
+    EXPECT_GT(metrics.counterValue("index.root_visits"), 0u);
 }
 
 TEST(InvertedIndexTest, FlushMakesPartialStateDurable)

@@ -58,10 +58,6 @@ expect_finding(out, "bad_dropped_status.cc", 9, "dropped-status")
 expect("bad_dropped_status.cc:10" not in out,
        "consumed Status on line 10 is not flagged")
 
-rc, out = run_lint("bad_statset.cc")
-expect(rc == 1, "bad_statset.cc exits 1")
-expect_finding(out, "bad_statset.cc", 9, "direct-statset")
-
 rc, out = run_lint("bad_rand.cc")
 expect(rc == 1, "bad_rand.cc exits 1")
 expect_finding(out, "bad_rand.cc", 8, "banned-rand-time")
@@ -178,7 +174,7 @@ expect_finding(out, "bad_include_order.cc", 2, "include-order")
 
 # ---- every finding carries a fix hint ---------------------------------
 
-rc, out = run_lint("bad_statset.cc")
+rc, out = run_lint("bad_rand.cc")
 expect("hint:" in out, "findings include a fix hint")
 
 # ---- the clean fixture produces zero findings -------------------------

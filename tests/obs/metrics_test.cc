@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/stats.h"
 #include "obs/json.h"
 #include "obs/report.h"
 
@@ -47,60 +46,13 @@ TEST(MetricsRegistry, Gauge)
     EXPECT_DOUBLE_EQ(snap.gauges.at("lzah.ratio"), 3.0);
 }
 
-TEST(LogHistogram, BucketEdges)
-{
-    // Bucket 0 holds zeros; bucket i holds [2^(i-1), 2^i).
-    EXPECT_EQ(LogHistogram::bucketFor(0), 0u);
-    EXPECT_EQ(LogHistogram::bucketFor(1), 1u);
-    EXPECT_EQ(LogHistogram::bucketFor(2), 2u);
-    EXPECT_EQ(LogHistogram::bucketFor(3), 2u);
-    EXPECT_EQ(LogHistogram::bucketFor(4), 3u);
-    EXPECT_EQ(LogHistogram::bucketFor(7), 3u);
-    EXPECT_EQ(LogHistogram::bucketFor(8), 4u);
-    EXPECT_EQ(LogHistogram::bucketFor(~0ull), 64u);
-
-    EXPECT_EQ(LogHistogram::bucketLo(0), 0u);
-    EXPECT_EQ(LogHistogram::bucketLo(1), 1u);
-    EXPECT_EQ(LogHistogram::bucketLo(4), 8u);
-
-    LogHistogram h;
-    h.record(0);
-    h.record(1);
-    h.record(7);
-    h.record(8);
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_EQ(h.sum(), 16u);
-    EXPECT_DOUBLE_EQ(h.mean(), 4.0);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-    EXPECT_EQ(h.bucketCount(3), 1u);
-    EXPECT_EQ(h.bucketCount(4), 1u);
-}
-
-TEST(MetricsRegistry, StatSetBridge)
-{
-    MetricsRegistry m;
-    StatSet stats;
-    stats.add("pages_read", 3);  // pre-bind accumulation
-    stats.bind(&m, "ssd.");
-    // bind() replays what was already counted...
-    EXPECT_EQ(m.counterValue("ssd.pages_read"), 3u);
-    // ...and forwards everything after.
-    stats.add("pages_read", 2);
-    stats.add("batches");
-    EXPECT_EQ(m.counterValue("ssd.pages_read"), 5u);
-    EXPECT_EQ(m.counterValue("ssd.batches"), 1u);
-    // The StatSet's own view stays intact (deprecated shim contract).
-    EXPECT_EQ(stats.get("pages_read"), 5u);
-}
-
 TEST(MetricsRegistry, SnapshotJsonIsValid)
 {
     MetricsRegistry m;
     m.counter("a.count").add(1);
     m.counter("b.count", {{"k", "v"}}).add(2);
     m.gauge("c.ratio").set(0.5);
-    m.histogram("d.sizes").record(100);
+    m.quantileHistogram("d.sizes").record(100);
     std::string json = metricsToJson(m);
     std::string err;
     EXPECT_TRUE(jsonValid(json, &err)) << err << "\n" << json;
@@ -128,15 +80,74 @@ TEST(JsonWriter, EscapesAndNesting)
     EXPECT_NE(out.find("\\\""), std::string::npos);
 }
 
+/** One row of the JSON grammar table: a document and the error
+ *  jsonValid() reports for it (empty when the document is valid). */
+struct JsonCase {
+    std::string_view text;
+    std::string_view error;
+};
+
+constexpr JsonCase kJsonGrammar[] = {
+    // Accepted forms: every value kind, escapes, number shapes and
+    // insignificant whitespace.
+    {"{}", ""},
+    {"[]", ""},
+    {"{\"a\": [1, 2.5e3, null, \"x\"]}", ""},
+    {" \t\r\n{ \"k\" : [ true , false ] }\n", ""},
+    {"[[{}], [{\"k\": []}]]", ""},
+    {"true", ""},
+    {"null", ""},
+    {"\"\\\" \\\\ \\/ \\b \\f \\n \\r \\t \\u00e9\"", ""},
+    {"0", ""},
+    {"-0", ""},
+    {"-12.5E-3", ""},
+    {"1e+9", ""},
+    {"4E2", ""},
+    // Literals.
+    {"tru", "bad literal at offset 0"},
+    {"[nul]", "bad literal at offset 1"},
+    {"falsy", "bad literal at offset 0"},
+    // Strings.
+    {"\"a\x01z\"", "control char in string at offset 2"},
+    {"\"\\u12G4\"", "bad \\u escape at offset 2"},
+    {"\"\\u12\"", "bad \\u escape at offset 2"},
+    {"\"\\q\"", "bad escape at offset 2"},
+    {"\"abc", "unterminated string at offset 4"},
+    {"\"abc\\", "unterminated string at offset 5"},
+    {"{'a': 1}", "expected string at offset 1"},
+    // Numbers.
+    {"-", "bad number at offset 1"},
+    {"+1", "bad number at offset 0"},
+    {".5", "bad number at offset 0"},
+    {"{\"a\":}", "bad number at offset 5"},
+    {"1.", "bad fraction at offset 2"},
+    {"1.e5", "bad fraction at offset 2"},
+    {"1e", "bad exponent at offset 2"},
+    {"[1e+]", "bad exponent at offset 4"},
+    // Structure.
+    {"", "unexpected end at offset 0"},
+    {"[", "unexpected end at offset 1"},
+    {"{\"a\":", "unexpected end at offset 5"},
+    {"{", "expected string at offset 1"},
+    {"{\"a\" 1}", "expected ':' at offset 5"},
+    {"{\"a\": 1 \"b\": 2}", "expected ',' or '}' at offset 8"},
+    {"[1 2]", "expected ',' or ']' at offset 3"},
+    {"{\"a\": 1} extra", "trailing data at offset 9"},
+    {"1 2", "trailing data at offset 2"},
+    // Trailing commas.
+    {"{\"a\": 1,}", "expected string at offset 8"},
+    {"[1,]", "bad number at offset 3"},
+};
+
 TEST(JsonValid, RejectsMalformed)
 {
-    EXPECT_TRUE(jsonValid("{\"a\": [1, 2.5e3, null, \"x\"]}"));
-    EXPECT_FALSE(jsonValid(""));
-    EXPECT_FALSE(jsonValid("{"));
-    EXPECT_FALSE(jsonValid("{\"a\":}"));
-    EXPECT_FALSE(jsonValid("{\"a\": 1,}"));
-    EXPECT_FALSE(jsonValid("{\"a\": 1} extra"));
-    EXPECT_FALSE(jsonValid("{'a': 1}"));
+    for (const JsonCase &c : kJsonGrammar) {
+        std::string err;
+        EXPECT_EQ(jsonValid(c.text, &err), c.error.empty()) << c.text;
+        EXPECT_EQ(err, c.error) << c.text;
+        JsonValue doc;
+        EXPECT_EQ(jsonParse(c.text, &doc), c.error.empty()) << c.text;
+    }
 }
 
 TEST(JsonRecord, BenchLineFormat)

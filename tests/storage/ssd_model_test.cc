@@ -61,7 +61,8 @@ TEST(SsdModelTest, ChainWithFanoutCoversLeafTraffic)
 
 TEST(SsdModelTest, MeteredReadsAdvanceClockAndStats)
 {
-    SsdModel ssd;
+    obs::MetricsRegistry metrics;
+    SsdModel ssd(SsdConfig{}, &metrics);
     PageId a = ssd.allocate();
     std::vector<uint8_t> data(kPageSize, 7);
     ASSERT_TRUE(ssd.writePage(a, data).isOk());
@@ -71,45 +72,48 @@ TEST(SsdModelTest, MeteredReadsAdvanceClockAndStats)
     std::vector<PageId> ids{a};
     ASSERT_TRUE(ssd.readBatch(ids, Link::kExternal, &out).isOk());
     EXPECT_GT(ssd.elapsed().ps(), 0u);
-    EXPECT_EQ(ssd.stats().get("pages_read"), 1u);
-    EXPECT_EQ(ssd.stats().get("bytes_read"), kPageSize);
+    EXPECT_EQ(metrics.counterValue("ssd.pages_read"), 1u);
+    EXPECT_EQ(metrics.counterValue("ssd.bytes_read"), kPageSize);
 
     std::vector<uint8_t> chained;
     ASSERT_TRUE(ssd.readChained(a, Link::kExternal, &chained).isOk());
     EXPECT_EQ(chained[0], 7);
-    EXPECT_EQ(ssd.stats().get("chained_reads"), 1u);
+    EXPECT_EQ(metrics.counterValue("ssd.chained_reads"), 1u);
 }
 
 TEST(SsdModelTest, ResetClockZeroesElapsedOnly)
 {
-    SsdModel ssd;
+    obs::MetricsRegistry metrics;
+    SsdModel ssd(SsdConfig{}, &metrics);
     PageId a = ssd.allocate();
     std::vector<uint8_t> data(16, 1);
     ASSERT_TRUE(ssd.writePage(a, data).isOk());
     EXPECT_GT(ssd.elapsed().ps(), 0u);
     ssd.resetClock();
     EXPECT_EQ(ssd.elapsed().ps(), 0u);
-    EXPECT_EQ(ssd.stats().get("pages_written"), 1u);
+    EXPECT_EQ(metrics.counterValue("ssd.pages_written"), 1u);
 }
 
 TEST(SsdModelTest, OutOfRangeWriteReturnsInvalidArgument)
 {
-    SsdModel ssd;
+    obs::MetricsRegistry metrics;
+    SsdModel ssd(SsdConfig{}, &metrics);
     std::vector<uint8_t> data(kPageSize, 1);
     uint64_t before = ssd.elapsed().ps();
     EXPECT_EQ(ssd.writePage(5, data).code(),
               StatusCode::kInvalidArgument);
     // A rejected program charges no time and counts nothing.
     EXPECT_EQ(ssd.elapsed().ps(), before);
-    EXPECT_EQ(ssd.stats().get("pages_written"), 0u);
+    EXPECT_EQ(metrics.counterValue("ssd.pages_written"), 0u);
 }
 
 TEST(SsdModelTest, FlushBarrierChargesConfiguredLatency)
 {
-    SsdModel ssd;
+    obs::MetricsRegistry metrics;
+    SsdModel ssd(SsdConfig{}, &metrics);
     ASSERT_TRUE(ssd.flushBarrier().isOk());
     EXPECT_EQ(ssd.elapsed().ps(), ssd.config().flush_latency.ps());
-    EXPECT_EQ(ssd.stats().get("flushes"), 1u);
+    EXPECT_EQ(metrics.counterValue("ssd.flushes"), 1u);
 }
 
 TEST(SsdModelTest, PowerCutKillsDeviceUntilRemount)

@@ -11,8 +11,6 @@ repo-specific invariants no generic tool knows about:
   dropped-status     a call to an unambiguously Status-returning function
                      used as a bare statement (belt and braces on top of
                      the [[nodiscard]] + -Werror compiler layer).
-  direct-statset     StatSet is a deprecated shim; new code reports into
-                     mithril::obs::MetricsRegistry.
   banned-rand-time   rand()/srand()/time()/std::random_device break
                      bit-for-bit reproducibility; use common/rng.h.
   raw-new-delete     no naked new/delete outside arena code; use
@@ -100,18 +98,6 @@ EXCLUDE_PARTS = ("tests/lint/fixtures", "tests/tsa/fixtures")
 ALLOW = {
     # SimTime itself and the device models own cycle->time conversion.
     "cycle-to-time": ("src/common/simtime.h", "src/sim/"),
-    # The shim, its legacy holders (bound through CounterSink), the obs
-    # bridge that implements the sink, and their direct tests.
-    "direct-statset": (
-        "src/common/stats.h",
-        "src/common/stats.cc",
-        "src/storage/ssd_model.",
-        "src/index/inverted_index.",
-        "src/typed/typed_index.",
-        "src/obs/",
-        "tests/common/stats_test.cc",
-        "tests/obs/",
-    ),
     "banned-rand-time": ("src/common/rng.h",),
     # The fault subsystem itself declares/implements the hooks.
     "fault-gating": ("src/fault/",),
@@ -136,8 +122,6 @@ RULE_HINTS = {
                      "throughputBps() from common/simtime.h",
     "dropped-status": "assign the Status, use MITHRIL_RETURN_IF_ERROR, "
                       "or (void)-cast with a justification comment",
-    "direct-statset": "report through mithril::obs::MetricsRegistry "
-                      "(see src/obs/metrics.h)",
     "banned-rand-time": "use mithril::Rng from common/rng.h with an "
                         "explicit seed",
     "raw-new-delete": "use std::vector/std::unique_ptr, or keep arena "
@@ -262,16 +246,6 @@ def check_cycle_to_time(relpath, code):
             yield (i, "cycle-to-time",
                    "raw cycle<->time/frequency arithmetic outside "
                    "simtime.h/sim/")
-
-
-_STATSET_RE = re.compile(r"\bStatSet\b")
-
-
-def check_direct_statset(relpath, code):
-    for i, line in enumerate(code, start=1):
-        if _STATSET_RE.search(line):
-            yield (i, "direct-statset",
-                   "direct use of deprecated StatSet")
 
 
 _RAND_TIME_RE = re.compile(
@@ -458,7 +432,7 @@ def check_lock_order(relpath, code):
 
 _ATOMICS_AUDITED = (
     "src/obs/histogram.",     # HDR histogram cells (wait-free record)
-    "src/obs/metrics.h",      # Counter/Gauge/LogHistogram handles
+    "src/obs/metrics.h",      # Counter/Gauge handles
     "src/svc/log_service.cc", # routing rotation + readonly count
     "audited_relaxed",        # selftest fixture for this branch
 )
@@ -750,7 +724,6 @@ def check_dropped_status(relpath, code, status_names):
 
 SIMPLE_RULES = (
     check_cycle_to_time,
-    check_direct_statset,
     check_banned_rand_time,
     check_raw_new_delete,
     check_cast_outside_bits,
@@ -772,7 +745,6 @@ _RAW_RULES = {check_header_guard, check_include_order,
               check_atomics_discipline}
 RULE_OF_CHECK = {
     check_cycle_to_time: "cycle-to-time",
-    check_direct_statset: "direct-statset",
     check_banned_rand_time: "banned-rand-time",
     check_raw_new_delete: "raw-new-delete",
     check_cast_outside_bits: "cast-outside-bits",
