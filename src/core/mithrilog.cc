@@ -389,80 +389,227 @@ MithriLog::compressionRatio() const
            static_cast<double>(compressed);
 }
 
-std::vector<PageId>
-MithriLog::candidatePages(std::span<const query::Query> queries,
-                          SimTime *index_time, bool *integrity_lost)
+namespace {
+
+/** The planner skips index traversal when the O(1) entry-counter
+ *  estimate says a batch would touch at least this fraction of the
+ *  data pages anyway: the paper's own example saw an index reduce
+ *  reads by only 30% on a common-token query, and traversal is then
+ *  pure overhead. */
+constexpr double kPlannerScanThreshold = 0.85;
+
+/** Intersection of two ascending id lists (page ids or line numbers). */
+std::vector<uint64_t>
+intersectSorted(const std::vector<uint64_t> &a,
+                const std::vector<uint64_t> &b)
 {
-    // Different tokens' index chains are independent, so the device
-    // overlaps them across channels: the modeled index time is the
-    // slowest single chain plus the residual traffic at `overlap`-way
-    // parallelism, not the serial sum the meter records.
-    // The device overlaps ~256 outstanding commands; dozens of token
-    // chains progress concurrently, so residual traffic divides by a
-    // deep factor while the slowest single chain sets the floor.
+    std::vector<uint64_t> out;
+    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                          std::back_inserter(out));
+    return out;
+}
+
+} // namespace
+
+Status
+MithriLog::run(const query::Query &q, QueryResult *out)
+{
+    return runBatch(std::span(&q, 1), out);
+}
+
+Status
+MithriLog::run(std::string_view query_text, QueryResult *out)
+{
+    query::Query q;
+    MITHRIL_RETURN_IF_ERROR(query::parseQuery(query_text, &q));
+    return run(q, out);
+}
+
+Status
+MithriLog::runBatch(std::span<const query::Query> queries, QueryResult *out)
+{
+    return runPipeline(queries, /*use_index=*/true, out);
+}
+
+Status
+MithriLog::runFullScan(std::span<const query::Query> queries,
+                       QueryResult *out)
+{
+    return runPipeline(queries, /*use_index=*/false, out);
+}
+
+Status
+MithriLog::runPipeline(std::span<const query::Query> queries,
+                       bool use_index, QueryResult *out)
+{
+    *out = QueryResult{};
+    if (queries.empty()) {
+        return Status::invalidArgument("empty query batch");
+    }
+    WallTimer wall;
+    obs::Span qspan = tracer_->span("query", "core");
+    counters_.queries->add(queries.size());
+    uint64_t retries_before = counters_.ssd_read_retries->value();
+    QueryBreakdown &b = out->breakdown;
+    // The filter pipelines hash whole tokens and cannot compare CIDR
+    // blocks or time windows, so a batch carrying typed predicates is
+    // evaluated exactly on the host and its offload is the pruning
+    // (DESIGN.md §15).
+    bool typed = false;
+    for (const query::Query &q : queries) {
+        typed = typed || q.hasTypedPredicates();
+        b.typed_predicates += q.typedPredicateCount();
+    }
+    if (typed) {
+        counters_.typed_queries->add(queries.size());
+    }
+
+    // Plan: the index's candidate pages, or every data page.
+    std::span<const PageId> pages = data_pages_;
+    Candidates candidates;
+    bool prune = use_index && (typed ? config_.use_typed_index
+                                     : !plannerPrefersScan(queries));
+    if (prune) {
+        obs::Span lookup = tracer_->span(
+            typed ? "query.typed_lookup" : "query.index_lookup", "core");
+        candidates = prunePages(queries, out);
+        lookup.setSimDuration(out->index_time);
+        lookup.end();
+        ssd_.resetClock();
+        if (candidates.integrity_lost) {
+            // The candidate set cannot be trusted to be complete: scan
+            // every page rather than silently miss matches. (The
+            // pruning traffic already spent stays in the breakdown.)
+            if (typed) {
+                out->degraded_typed_scan = true;
+                counters_.degraded_typed_scans->add();
+            } else {
+                out->degraded_index_scan = true;
+                counters_.degraded_index_scans->add();
+            }
+            obs::Span degrade = tracer_->span(
+                typed ? "query.degraded_typed_scan"
+                      : "query.degraded_index_scan",
+                "core");
+        } else if (!candidates.all_pages) {
+            pages = candidates.pages;
+            b.candidate_pages = pages.size();
+            counters_.candidate_pages->add(pages.size());
+        }
+    } else if (use_index && !typed) {
+        out->planned_full_scan = true;
+        obs::Span plan = tracer_->span("query.plan_full_scan", "core");
+        counters_.planner_full_scans->add();
+    }
+
+    // Stage and evaluate.
+    Status st;
+    if (typed) {
+        st = hostScan(pages, queries, out);
+        out->total_time = out->index_time + out->storage_time +
+                          ssd_.config().read_latency;
+    } else {
+        st = execute(pages, queries, out);
+    }
+
+    // Finish: the breakdown mirrors the scalar result fields.
+    b.index_time = out->index_time;
+    b.storage_time = out->storage_time;
+    b.compute_time = out->compute_time;
+    b.total_time = out->total_time;
+    b.pages_scanned = out->pages_scanned;
+    b.pages_total = out->pages_total;
+    b.matched_lines = out->matched_lines;
+    b.used_fallback = out->used_fallback;
+    b.planned_full_scan = out->planned_full_scan;
+    b.degraded_index_scan = out->degraded_index_scan;
+    b.degraded_software_scan = out->degraded_software_scan;
+    b.degraded_typed_scan = out->degraded_typed_scan;
+    b.pages_dropped = out->pages_dropped;
+    b.read_retries = counters_.ssd_read_retries->value() - retries_before;
+    b.wall_seconds = wall.seconds();
+    qspan.setSimDuration(out->total_time);
+    qspan.end();
+    return st;
+}
+
+MithriLog::Candidates
+MithriLog::prunePages(std::span<const query::Query> queries,
+                      QueryResult *out)
+{
+    // Different terms' chains are independent and the device overlaps
+    // them across channels (~256 outstanding commands): the modeled
+    // index time is the slowest single chain, or the serial sum the
+    // meter records divided by kOverlap when that is larger.
     constexpr uint64_t kOverlap = 32;
     SimTime max_lookup;
     uint64_t sum_ps = 0;
+    auto timed = [&](auto lookup) {
+        ssd_.resetClock();
+        auto result = lookup();
+        SimTime elapsed = ssd_.elapsed();
+        max_lookup = SimTime::max(max_lookup, elapsed);
+        sum_ps += elapsed.ps();
+        return result;
+    };
 
+    Candidates c;
     std::set<PageId> pages;
-    bool need_all = false;
+    QueryBreakdown &b = out->breakdown;
     for (const query::Query &q : queries) {
         for (const query::IntersectionSet &set : q.sets()) {
-            std::vector<std::string> positives;
+            // Typed posting lists intersect to a line set, which the
+            // sealed-page directory maps to data pages.
+            std::vector<uint64_t> lines;
+            bool have_lines = false;
             for (const query::Term &t : set.terms) {
-                // Typed predicates have no keyword token; the typed
-                // tier (runTyped) prunes on them, never this path.
-                if (!t.negated && !t.isTyped()) {
-                    positives.push_back(t.token);
+                if (!t.isTyped()) {
+                    continue;
                 }
+                typed::LookupResult lr =
+                    timed([&] { return typed_index_->lookup(t.typed); });
+                b.typed_index_pages += lr.pages_read;
+                b.typed_index_bytes += lr.bytes_read;
+                c.integrity_lost = c.integrity_lost || lr.integrity_lost;
+                lines = have_lines ? intersectSorted(lines, lr.lines)
+                                   : std::move(lr.lines);
+                have_lines = true;
             }
-            if (positives.empty()) {
-                // A pure-negative set can occur anywhere: the index
-                // cannot prune on absence (Section 7.5's slow cases).
-                need_all = true;
-                continue;
+            std::vector<PageId> set_pages;
+            bool have_pages = have_lines;
+            if (have_lines) {
+                set_pages = typed_index_->pagesForLines(lines);
             }
-            // Intersect per-token page lists (read order first,
-            // Section 6.3), timing each token's chain separately:
-            // chains for different tokens run concurrently on the
-            // device.
-            std::vector<PageId> found;
-            bool first = true;
-            for (const std::string &token : positives) {
-                ssd_.resetClock();
-                std::vector<PageId> token_pages =
-                    index_->lookup(token, integrity_lost);
-                SimTime lookup = ssd_.elapsed();
-                max_lookup = SimTime::max(max_lookup, lookup);
-                sum_ps += lookup.ps();
-                if (first) {
-                    found = std::move(token_pages);
-                    first = false;
-                } else {
-                    std::vector<PageId> merged;
-                    std::set_intersection(found.begin(), found.end(),
-                                          token_pages.begin(),
-                                          token_pages.end(),
-                                          std::back_inserter(merged));
-                    found = std::move(merged);
+            // Then the positive keywords' index chains (read order
+            // first, Section 6.3).
+            for (const query::Term &t : set.terms) {
+                if (t.negated || t.isTyped()) {
+                    continue;
                 }
-                if (found.empty()) {
+                std::vector<PageId> token_pages = timed([&] {
+                    return index_->lookup(t.token, &c.integrity_lost);
+                });
+                set_pages = have_pages
+                                ? intersectSorted(set_pages, token_pages)
+                                : std::move(token_pages);
+                have_pages = true;
+                if (set_pages.empty()) {
                     break;
                 }
             }
-            if (!need_all) {
-                for (PageId p : found) {
-                    pages.insert(p);
-                }
+            if (!have_pages) {
+                // A pure-negative set can occur anywhere: the index
+                // cannot prune on absence (Section 7.5's slow cases).
+                c.all_pages = true;
+            } else {
+                pages.insert(set_pages.begin(), set_pages.end());
             }
         }
     }
-    *index_time = SimTime::max(
+    out->index_time = SimTime::max(
         max_lookup, SimTime::picoseconds(sum_ps / kOverlap));
-    if (need_all) {
-        return data_pages_;
-    }
-    return {pages.begin(), pages.end()};
+    c.pages.assign(pages.begin(), pages.end());
+    return c;
 }
 
 Status
@@ -473,6 +620,7 @@ MithriLog::stagePages(std::span<const PageId> pages, Link link,
 {
     fault::FaultPlan *plan = ssd_.faultPlan();
     views->reserve(pages.size());
+    staged_ids->reserve(pages.size());
     if (plan == nullptr) {
         // Unfaulted hot path: zero-copy views straight out of the
         // store, one bulk overlapped charge. A CRC failure here is
@@ -488,9 +636,7 @@ MithriLog::stagePages(std::span<const PageId> pages, Link link,
                 continue;
             }
             views->push_back(view);
-            if (staged_ids != nullptr) {
-                staged_ids->push_back(id);
-            }
+            staged_ids->push_back(id);
         }
         ssd_.chargeOverlappedRead(pages.size(), link);
         return Status::ok();
@@ -526,9 +672,7 @@ MithriLog::stagePages(std::span<const PageId> pages, Link link,
             continue;
         }
         storage->push_back(std::move(buf));
-        if (staged_ids != nullptr) {
-            staged_ids->push_back(id);
-        }
+        staged_ids->push_back(id);
     }
     for (const compress::Bytes &b : *storage) {
         views->push_back(compress::ByteView(b.data(), b.size()));
@@ -547,8 +691,17 @@ MithriLog::execute(std::span<const PageId> pages,
     compile_span.end();
     if (compiled.code() == StatusCode::kCapacityExceeded ||
         compiled.code() == StatusCode::kUnsupported) {
+        // Software fallback (Section 4.2.1): every page crosses PCIe to
+        // the host matcher. Only the storage component is modeled; the
+        // CPU side is a measured quantity, reported by the benches that
+        // exercise it.
         counters_.query_fallbacks->add();
-        return softwareScan(queries, out);
+        out->used_fallback = true;
+        obs::Span span = tracer_->span("query.fallback", "core");
+        Status scanned = hostScan(data_pages_, queries, out);
+        out->total_time = out->index_time + out->storage_time;
+        span.setSimDuration(out->storage_time);
+        return scanned;
     }
     MITHRIL_RETURN_IF_ERROR(compiled);
 
@@ -559,8 +712,9 @@ MithriLog::execute(std::span<const PageId> pages,
     uint64_t stage_start_ps = ssd_.elapsed().ps();
     std::vector<compress::ByteView> views;
     std::vector<compress::Bytes> staged;
-    MITHRIL_RETURN_IF_ERROR(
-        stagePages(pages, Link::kInternal, &views, &staged, out));
+    std::vector<PageId> staged_ids;
+    MITHRIL_RETURN_IF_ERROR(stagePages(pages, Link::kInternal, &views,
+                                       &staged, out, &staged_ids));
     // The stream pipelines behind index traversal and filtering, so the
     // reads are metered (ssd.pages_read, link busy) as overlapped. The
     // batch-read model bounds the stage from below; retry/backoff
@@ -587,7 +741,7 @@ MithriLog::execute(std::span<const PageId> pages,
         obs::Span degrade =
             tracer_->span("query.degraded_software_scan", "core");
         ssd_.chargeOverlappedRead(views.size(), Link::kExternal);
-        Status scanned = hostScanViews(views, queries, out);
+        Status scanned = hostEvaluate(views, staged_ids, queries, out);
         out->storage_time =
             out->storage_time +
             ssd_.timeBatchRead(views.size(), Link::kExternal);
@@ -598,7 +752,14 @@ MithriLog::execute(std::span<const PageId> pages,
     }
     MITHRIL_RETURN_IF_ERROR(processed);
 
-    out->breakdown.pages_with_matches = ar.pages_with_matches;
+    QueryBreakdown &b = out->breakdown;
+    b.pages_with_matches = ar.pages_with_matches;
+    if (b.candidate_pages > 0) {
+        // The index nominated @p pages: those without a match are its
+        // false positives (plus legitimately empty candidates).
+        b.false_positive_pages = pages.size() - ar.pages_with_matches;
+        counters_.false_positive_pages->add(b.false_positive_pages);
+    }
     out->matched_lines = ar.lines_kept;
     out->lines = std::move(ar.kept);
     out->matched_per_query.assign(ar.kept_per_query.begin(),
@@ -626,91 +787,9 @@ MithriLog::execute(std::span<const PageId> pages,
 }
 
 Status
-MithriLog::hostScanViews(std::span<const compress::ByteView> views,
-                         std::span<const query::Query> queries,
-                         QueryResult *out)
+MithriLog::hostScan(std::span<const PageId> pages,
+                    std::span<const query::Query> queries, QueryResult *out)
 {
-    out->matched_lines = 0;
-    out->matched_per_query.assign(queries.size(), 0);
-
-    std::vector<query::SoftwareMatcher> matchers;
-    matchers.reserve(queries.size());
-    for (const query::Query &q : queries) {
-        matchers.emplace_back(q);
-    }
-
-    compress::Bytes text;
-    for (compress::ByteView v : views) {
-        // Decode per page into a scratch buffer so a mid-page decode
-        // failure (structural damage past the CRC) drops that page
-        // cleanly instead of leaking partial garbage into the text.
-        compress::Bytes page_text;
-        if (compress::lzahDecodePage(v, /*padded=*/false, &page_text)
-                .isOk()) {
-            text.insert(text.end(), page_text.begin(), page_text.end());
-        } else {
-            counters_.pages_dropped->add();
-            ++out->pages_dropped;
-        }
-    }
-    std::string_view view = asChars(text);
-    forEachLine(view, [&](std::string_view line) {
-        bool any = false;
-        for (size_t q = 0; q < matchers.size(); ++q) {
-            if (matchers[q].matches(line)) {
-                ++out->matched_per_query[q];
-                any = true;
-            }
-        }
-        if (any) {
-            ++out->matched_lines;
-        }
-    });
-    out->pages_scanned = views.size();
-    out->pages_total = data_pages_.size();
-    out->bytes_scanned = text.size();
-    return Status::ok();
-}
-
-Status
-MithriLog::softwareScan(std::span<const query::Query> queries,
-                        QueryResult *out)
-{
-    obs::Span span = tracer_->span("query.fallback", "core");
-    out->used_fallback = true;
-
-    // Every page crosses PCIe to the host; stagePages meters the reads
-    // (and, under a fault plan, runs injection/retry per page).
-    uint64_t stage_start_ps = ssd_.elapsed().ps();
-    std::vector<compress::ByteView> views;
-    std::vector<compress::Bytes> staged;
-    MITHRIL_RETURN_IF_ERROR(stagePages(data_pages_, Link::kExternal,
-                                       &views, &staged, out));
-    SimTime stage_busy =
-        SimTime::picoseconds(ssd_.elapsed().ps() - stage_start_ps);
-    MITHRIL_RETURN_IF_ERROR(hostScanViews(views, queries, out));
-
-    out->pages_scanned = data_pages_.size();
-    // Fallback ships every page to the host over PCIe and burns CPU;
-    // the storage component alone is modeled here (the CPU side is a
-    // measured quantity, reported by the benches that exercise it).
-    out->storage_time = SimTime::max(
-        ssd_.timeBatchRead(data_pages_.size(), Link::kExternal),
-        stage_busy);
-    out->total_time = out->index_time + out->storage_time;
-    span.setSimDuration(out->storage_time);
-    return Status::ok();
-}
-
-Status
-MithriLog::typedScanPages(std::span<const PageId> pages,
-                          std::span<const query::Query> queries,
-                          QueryResult *out)
-{
-    // Candidate pages cross PCIe to the host matcher: the filter
-    // pipelines hash whole tokens and cannot compare CIDR blocks or
-    // time windows, so the typed tier's offload is the pruning and the
-    // match set is evaluated exactly here (DESIGN.md §15).
     uint64_t stage_start_ps = ssd_.elapsed().ps();
     std::vector<compress::ByteView> views;
     std::vector<compress::Bytes> staged;
@@ -719,11 +798,17 @@ MithriLog::typedScanPages(std::span<const PageId> pages,
                                        &staged, out, &staged_ids));
     SimTime stage_busy =
         SimTime::picoseconds(ssd_.elapsed().ps() - stage_start_ps);
-    out->storage_time =
-        out->storage_time +
-        SimTime::max(ssd_.timeBatchRead(pages.size(), Link::kExternal),
-                     stage_busy);
+    out->storage_time = SimTime::max(
+        ssd_.timeBatchRead(pages.size(), Link::kExternal), stage_busy);
+    return hostEvaluate(views, staged_ids, queries, out);
+}
 
+Status
+MithriLog::hostEvaluate(std::span<const compress::ByteView> views,
+                        std::span<const PageId> ids,
+                        std::span<const query::Query> queries,
+                        QueryResult *out)
+{
     // First line of each staged page via the sealed-page directory, so
     // every match carries its global ingest line number (the identity
     // the oracle tests and the fan-out merge compare on).
@@ -732,16 +817,14 @@ MithriLog::typedScanPages(std::span<const PageId> pages,
          typed_index_->pageDirectory()) {
         first_line[s.page] = s.first_line;
     }
-
-    std::vector<query::SoftwareMatcher> matchers;
-    matchers.reserve(queries.size());
-    for (const query::Query &q : queries) {
-        matchers.emplace_back(q);
-    }
+    std::vector<query::SoftwareMatcher> matchers(queries.begin(),
+                                                 queries.end());
     out->matched_per_query.assign(queries.size(), 0);
 
     std::vector<std::pair<uint64_t, accel::KeptLine>> hits;
     for (size_t v = 0; v < views.size(); ++v) {
+        // Decode per page so a mid-page decode failure (structural
+        // damage past the CRC) drops that page cleanly.
         compress::Bytes text;
         if (!compress::lzahDecodePage(views[v], /*padded=*/false, &text)
                  .isOk()) {
@@ -750,21 +833,23 @@ MithriLog::typedScanPages(std::span<const PageId> pages,
             continue;
         }
         out->bytes_scanned += text.size();
-        auto it = first_line.find(staged_ids[v]);
+        auto it = first_line.find(ids[v]);
         MITHRIL_ASSERT(it != first_line.end());
         uint64_t line_no = it->second;
         uint32_t in_page = 0;
         forEachLine(asChars(text), [&](std::string_view line) {
+            bool matched = false;
             uint64_t mask = 0;
             for (size_t q = 0; q < matchers.size(); ++q) {
                 if (matchers[q].matches(line)) {
+                    matched = true;
                     ++out->matched_per_query[q];
                     if (q < 64) {
                         mask |= 1ull << q;
                     }
                 }
             }
-            if (mask != 0) {
+            if (matched) {
                 ++out->matched_lines;
                 hits.emplace_back(
                     line_no,
@@ -789,239 +874,15 @@ MithriLog::typedScanPages(std::span<const PageId> pages,
         out->line_numbers.push_back(line_no);
         out->lines.push_back(std::move(kept));
     }
-    out->pages_scanned += views.size();
+    out->pages_scanned = views.size();
     out->pages_total = data_pages_.size();
     return Status::ok();
-}
-
-Status
-MithriLog::runTyped(std::span<const query::Query> queries,
-                    QueryResult *out)
-{
-    WallTimer wall;
-    obs::Span qspan = tracer_->span("query", "core");
-    counters_.queries->add(queries.size());
-    counters_.typed_queries->add(queries.size());
-    uint64_t retries_before = counters_.ssd_read_retries->value();
-    QueryBreakdown &b = out->breakdown;
-    for (const query::Query &q : queries) {
-        b.typed_predicates += q.typedPredicateCount();
-    }
-
-    // Phase 1 — in-storage pruning: each set's typed posting lists are
-    // intersected to a line set, mapped to data pages, and further
-    // intersected with the keyword index's nomination where the set
-    // also carries positive keywords. Chains for different predicates
-    // overlap across channels exactly like token chains.
-    constexpr uint64_t kOverlap = 32;
-    SimTime max_lookup;
-    uint64_t sum_ps = 0;
-    bool lost = false;
-    bool need_all = false;
-    std::set<PageId> candidates;
-    if (config_.use_typed_index) {
-        obs::Span lookup_span =
-            tracer_->span("query.typed_lookup", "core");
-        for (const query::Query &q : queries) {
-            for (const query::IntersectionSet &set : q.sets()) {
-                std::vector<uint64_t> lines;
-                bool have_lines = false;
-                std::vector<std::string> positives;
-                for (const query::Term &t : set.terms) {
-                    if (t.isTyped()) {
-                        ssd_.resetClock();
-                        typed::LookupResult lr =
-                            typed_index_->lookup(t.typed);
-                        SimTime el = ssd_.elapsed();
-                        max_lookup = SimTime::max(max_lookup, el);
-                        sum_ps += el.ps();
-                        b.typed_index_pages += lr.pages_read;
-                        b.typed_index_bytes += lr.bytes_read;
-                        lost = lost || lr.integrity_lost;
-                        if (!have_lines) {
-                            lines = std::move(lr.lines);
-                            have_lines = true;
-                        } else {
-                            std::vector<uint64_t> merged;
-                            std::set_intersection(
-                                lines.begin(), lines.end(),
-                                lr.lines.begin(), lr.lines.end(),
-                                std::back_inserter(merged));
-                            lines = std::move(merged);
-                        }
-                    } else if (!t.negated) {
-                        positives.push_back(t.token);
-                    }
-                }
-                std::vector<PageId> set_pages;
-                bool have_pages = false;
-                if (have_lines) {
-                    set_pages = typed_index_->pagesForLines(lines);
-                    have_pages = true;
-                }
-                if (config_.use_index && !positives.empty()) {
-                    for (const std::string &tok : positives) {
-                        ssd_.resetClock();
-                        bool kw_lost = false;
-                        std::vector<PageId> tok_pages =
-                            index_->lookup(tok, &kw_lost);
-                        SimTime el = ssd_.elapsed();
-                        max_lookup = SimTime::max(max_lookup, el);
-                        sum_ps += el.ps();
-                        lost = lost || kw_lost;
-                        if (!have_pages) {
-                            set_pages = std::move(tok_pages);
-                            have_pages = true;
-                        } else {
-                            std::vector<PageId> merged;
-                            std::set_intersection(
-                                set_pages.begin(), set_pages.end(),
-                                tok_pages.begin(), tok_pages.end(),
-                                std::back_inserter(merged));
-                            set_pages = std::move(merged);
-                        }
-                        if (set_pages.empty()) {
-                            break;
-                        }
-                    }
-                }
-                if (!have_pages) {
-                    // Pure-negative set, or keyword-only set with the
-                    // keyword index bypassed: no pruning possible.
-                    need_all = true;
-                } else {
-                    candidates.insert(set_pages.begin(),
-                                      set_pages.end());
-                }
-            }
-        }
-        out->index_time = SimTime::max(
-            max_lookup, SimTime::picoseconds(sum_ps / kOverlap));
-        lookup_span.setSimDuration(out->index_time);
-        lookup_span.end();
-        ssd_.resetClock();
-    }
-
-    Status st;
-    if (!config_.use_typed_index || lost || need_all) {
-        if (lost) {
-            // The typed candidate set cannot be trusted to be
-            // complete; scan everything rather than silently miss
-            // matches. (The pruning traffic already spent stays in the
-            // breakdown — honest accounting.)
-            out->degraded_typed_scan = true;
-            counters_.degraded_typed_scans->add();
-            obs::Span degrade =
-                tracer_->span("query.degraded_typed_scan", "core");
-        }
-        st = typedScanPages(data_pages_, queries, out);
-    } else {
-        std::vector<PageId> pages(candidates.begin(), candidates.end());
-        b.candidate_pages = pages.size();
-        counters_.candidate_pages->add(pages.size());
-        st = typedScanPages(pages, queries, out);
-    }
-    out->total_time = out->index_time + out->storage_time +
-                      ssd_.config().read_latency;
-    finishQuery(out, &qspan, wall.seconds(), /*index_pruned=*/false,
-                retries_before);
-    return st;
-}
-
-Status
-MithriLog::runBatch(std::span<const query::Query> queries, QueryResult *out)
-{
-    *out = QueryResult{};
-    if (queries.empty()) {
-        return Status::invalidArgument("empty query batch");
-    }
-    for (const query::Query &q : queries) {
-        if (q.hasTypedPredicates()) {
-            return runTyped(queries, out);
-        }
-    }
-    WallTimer wall;
-    obs::Span qspan = tracer_->span("query", "core");
-    counters_.queries->add(queries.size());
-    uint64_t retries_before = counters_.ssd_read_retries->value();
-
-    bool index_pruned = false;
-    std::vector<PageId> pages;
-    if (config_.use_index && !plannerPrefersScan(queries)) {
-        obs::Span lookup = tracer_->span("query.index_lookup", "core");
-        bool integrity_lost = false;
-        pages =
-            candidatePages(queries, &out->index_time, &integrity_lost);
-        lookup.setSimDuration(out->index_time);
-        lookup.end();
-        if (integrity_lost) {
-            // The candidate set cannot be trusted to be complete:
-            // degrade to a full accelerator scan rather than risk
-            // silently missing matches.
-            out->degraded_index_scan = true;
-            counters_.degraded_index_scans->add();
-            obs::Span degrade =
-                tracer_->span("query.degraded_index_scan", "core");
-            pages = data_pages_;
-        } else {
-            // Pure-negative sets degrade to all pages; that is a scan,
-            // not an index nomination.
-            index_pruned = pages.size() < data_pages_.size() ||
-                           data_pages_.empty();
-        }
-        counters_.candidate_pages->add(pages.size());
-        ssd_.resetClock();
-    } else {
-        pages = data_pages_;
-        out->planned_full_scan = config_.use_index;
-        if (out->planned_full_scan) {
-            obs::Span plan = tracer_->span("query.plan_full_scan",
-                                           "core");
-            counters_.planner_full_scans->add();
-        }
-    }
-    Status st = execute(pages, queries, out);
-    out->breakdown.candidate_pages = index_pruned ? pages.size() : 0;
-    finishQuery(out, &qspan, wall.seconds(), index_pruned,
-                retries_before);
-    return st;
-}
-
-void
-MithriLog::finishQuery(QueryResult *out, obs::Span *span,
-                       double wall_seconds, bool index_pruned,
-                       uint64_t retries_before)
-{
-    QueryBreakdown &b = out->breakdown;
-    b.index_time = out->index_time;
-    b.storage_time = out->storage_time;
-    b.compute_time = out->compute_time;
-    b.total_time = out->total_time;
-    b.pages_scanned = out->pages_scanned;
-    b.pages_total = out->pages_total;
-    b.matched_lines = out->matched_lines;
-    b.used_fallback = out->used_fallback;
-    b.planned_full_scan = out->planned_full_scan;
-    b.degraded_index_scan = out->degraded_index_scan;
-    b.degraded_software_scan = out->degraded_software_scan;
-    b.degraded_typed_scan = out->degraded_typed_scan;
-    b.pages_dropped = out->pages_dropped;
-    b.read_retries =
-        counters_.ssd_read_retries->value() - retries_before;
-    b.wall_seconds = wall_seconds;
-    if (index_pruned && !out->used_fallback &&
-        b.pages_scanned >= b.pages_with_matches) {
-        b.false_positive_pages = b.pages_scanned - b.pages_with_matches;
-        counters_.false_positive_pages->add(b.false_positive_pages);
-    }
-    span->setSimDuration(out->total_time);
-    span->end();
 }
 
 bool
 MithriLog::plannerPrefersScan(std::span<const query::Query> queries) const
 {
-    if (config_.planner_scan_threshold >= 1.0 || data_pages_.empty()) {
+    if (data_pages_.empty()) {
         return false;
     }
     // A batch needs the union of its sets' candidates; each set's
@@ -1053,21 +914,7 @@ MithriLog::plannerPrefersScan(std::span<const query::Query> queries) const
                           std::min<uint64_t>(union_bound,
                                              data_pages_.size())) /
                       static_cast<double>(data_pages_.size());
-    return fraction >= config_.planner_scan_threshold;
-}
-
-Status
-MithriLog::run(const query::Query &q, QueryResult *out)
-{
-    return runBatch(std::span(&q, 1), out);
-}
-
-Status
-MithriLog::run(std::string_view query_text, QueryResult *out)
-{
-    query::Query q;
-    MITHRIL_RETURN_IF_ERROR(query::parseQuery(query_text, &q));
-    return run(q, out);
+    return fraction >= kPlannerScanThreshold;
 }
 
 namespace {
@@ -1531,96 +1378,6 @@ MithriLog::reopen()
     updateStorageGauges();
     span.end();
     return Status::ok();
-}
-
-Status
-MithriLog::runTimeRange(const query::Query &q, uint64_t t0, uint64_t t1,
-                        QueryResult *out)
-{
-    *out = QueryResult{};
-    if (q.hasTypedPredicates()) {
-        // Typed batches carry their window as a time:[t0,t1] predicate
-        // and take the typed tier; mixing the two mechanisms would
-        // double-bound inconsistently.
-        return Status::unsupported(
-            "typed predicates take run()/runBatch() "
-            "(use time:[t0,t1] for the window)");
-    }
-    WallTimer wall;
-    obs::Span qspan = tracer_->span("query", "core");
-    counters_.queries->add();
-    uint64_t retries_before = counters_.ssd_read_retries->value();
-
-    std::span<const query::Query> queries(&q, 1);
-    bool index_pruned = false;
-    std::vector<PageId> pages;
-    if (config_.use_index) {
-        obs::Span lookup = tracer_->span("query.index_lookup", "core");
-        bool integrity_lost = false;
-        pages =
-            candidatePages(queries, &out->index_time, &integrity_lost);
-        lookup.setSimDuration(out->index_time);
-        lookup.end();
-        if (integrity_lost) {
-            out->degraded_index_scan = true;
-            counters_.degraded_index_scans->add();
-            pages = data_pages_;
-        } else {
-            index_pruned = pages.size() < data_pages_.size() ||
-                           data_pages_.empty();
-        }
-        counters_.candidate_pages->add(pages.size());
-        ssd_.resetClock();
-    } else {
-        pages = data_pages_;
-    }
-    auto [lo, hi] = index_->pageRangeForTime(t0, t1);
-    std::vector<PageId> bounded;
-    for (PageId p : pages) {
-        if (p >= lo && p <= hi) {
-            bounded.push_back(p);
-        }
-    }
-    Status st = execute(bounded, queries, out);
-    out->breakdown.candidate_pages = index_pruned ? pages.size() : 0;
-    // The time bound prunes further than the index alone; the false-
-    // positive account only makes sense against the executed set.
-    finishQuery(out, &qspan, wall.seconds(),
-                index_pruned || bounded.size() < pages.size(),
-                retries_before);
-    return st;
-}
-
-Status
-MithriLog::runFullScan(std::span<const query::Query> queries,
-                       QueryResult *out)
-{
-    *out = QueryResult{};
-    if (queries.empty()) {
-        return Status::invalidArgument("empty query batch");
-    }
-    WallTimer wall;
-    obs::Span qspan = tracer_->span("query", "core");
-    counters_.queries->add(queries.size());
-    uint64_t retries_before = counters_.ssd_read_retries->value();
-    for (const query::Query &q : queries) {
-        if (q.hasTypedPredicates()) {
-            // The cuckoo program hashes whole tokens and cannot
-            // evaluate typed ranges: the exact full-scan analogue for
-            // a typed batch is the host typed scan over every page.
-            counters_.typed_queries->add(queries.size());
-            Status st = typedScanPages(data_pages_, queries, out);
-            out->total_time =
-                out->storage_time + ssd_.config().read_latency;
-            finishQuery(out, &qspan, wall.seconds(),
-                        /*index_pruned=*/false, retries_before);
-            return st;
-        }
-    }
-    Status st = execute(data_pages_, queries, out);
-    finishQuery(out, &qspan, wall.seconds(), /*index_pruned=*/false,
-                retries_before);
-    return st;
 }
 
 std::string

@@ -54,8 +54,6 @@ struct MithriLogConfig {
     storage::SsdConfig ssd{};
     index::IndexConfig index{};
     accel::AccelConfig accel{};
-    /** Consult the inverted index during queries (false = full scan). */
-    bool use_index = true;
     /**
      * Maintain and consult the typed-field pseudo-indexes (DESIGN.md
      * §15): IP/MAC/hex-id/timestamp keys extracted at ingest into
@@ -64,14 +62,6 @@ struct MithriLogConfig {
      * the data pages (the bench_typed_query baseline configuration).
      */
     bool use_typed_index = true;
-    /**
-     * Query planner: skip index traversal when the O(1) entry-counter
-     * estimate says the query would touch at least this fraction of
-     * the data pages anyway (the paper's own example saw an index
-     * reduce reads by only 30% on a common-token query — traversal is
-     * then pure overhead). 1.0 disables the planner.
-     */
-    double planner_scan_threshold = 0.85;
     /** Lines longer than LZAH's page limit are truncated (with the
      *  `core.lines_truncated` counter) instead of rejected. */
     bool truncate_long_lines = true;
@@ -154,8 +144,10 @@ struct QueryResult {
     uint64_t matched_lines = 0;
     std::vector<accel::KeptLine> lines;       ///< when accel.keep_lines
     /** Global (store-local) ingest line numbers parallel to `lines`;
-     *  filled by the typed query tier, where match identity must be
-     *  byte-comparable against a host oracle. Empty otherwise. */
+     *  filled on every path the host evaluates (typed tier, compile
+     *  fallback, degraded software scan), where match identity must be
+     *  byte-comparable against a host oracle. Empty when the
+     *  accelerator evaluated the batch. */
     std::vector<uint64_t> line_numbers;
     std::vector<uint64_t> matched_per_query;  ///< batched execution
 
@@ -326,21 +318,12 @@ class MithriLog
 
     /**
      * Runs a batch as a full scan, bypassing the index — the Section
-     * 7.4.2 configuration isolating filter-engine performance.
+     * 7.4.2 configuration isolating filter-engine performance. A batch
+     * carrying typed predicates is evaluated on the host over every
+     * data page, the exact full-scan analogue of runBatch's typed tier.
      */
     [[nodiscard]] Status runFullScan(
         std::span<const query::Query> queries, QueryResult *out);
-
-    /**
-     * Time-bounded query (Section 6.3's snapshot mechanism): candidate
-     * pages are additionally restricted to the page range the index's
-     * snapshot log maps [t0, t1] to. Timestamps are the values passed
-     * to ingest — by default the ingest line sequence number — and the
-     * restriction is coarse (snapshot granularity), so the time window
-     * may over-approximate but never cuts matching lines inside it.
-     */
-    [[nodiscard]] Status runTimeRange(const query::Query &q, uint64_t t0,
-                                      uint64_t t1, QueryResult *out);
 
     // ---- persistence ----------------------------------------------------
 
@@ -444,14 +427,37 @@ class MithriLog
     const obs::Tracer &tracer() const { return *tracer_; }
 
   private:
-    /** Candidate data pages for a batch via the inverted index.
-     *  @param index_time receives the modeled traversal time, with
-     *  independent token chains overlapped across channels.
-     *  @param integrity_lost set true when traversal damage makes the
-     *  candidate set untrustworthy (caller must full-scan). */
-    std::vector<storage::PageId>
-    candidatePages(std::span<const query::Query> queries,
-                   SimTime *index_time, bool *integrity_lost);
+    /**
+     * The query pipeline behind runBatch() and runFullScan(): plan the
+     * pages to read (index pruning unless @p use_index is false or the
+     * planner prefers a scan), stage and evaluate them — on the
+     * accelerator (execute), or on the host (hostScan) for batches
+     * carrying typed predicates — then finish the breakdown, the query
+     * span, and the per-query counters.
+     */
+    Status runPipeline(std::span<const query::Query> queries,
+                       bool use_index, QueryResult *out);
+
+    /** Output of prunePages(). */
+    struct Candidates {
+        std::vector<storage::PageId> pages;  ///< ascending, deduplicated
+        /** A set has no positive term to prune on (the index cannot
+         *  prune on absence): every data page is a candidate. */
+        bool all_pages = false;
+        /** Posting or index damage: the set may be incomplete. */
+        bool integrity_lost = false;
+    };
+
+    /**
+     * The one pruning function. Per intersection set, intersects the
+     * set's typed posting lists (line sets mapped to data pages), then
+     * the index chains of its positive keyword terms, in term order;
+     * the batch's candidates are the union over its sets. Sets
+     * out->index_time, with independent chains overlapped across
+     * channels, and the breakdown's typed index traffic.
+     */
+    Candidates prunePages(std::span<const query::Query> queries,
+                          QueryResult *out);
 
     /**
      * Reads @p pages for scanning, verifying each staged page's LZAH
@@ -460,50 +466,43 @@ class MithriLog
      * plan's retry budget. Pages still unreadable are dropped and
      * counted (`out->pages_dropped`), never passed on corrupt.
      * @p storage owns faulted copies; @p views index into it (or
-     * zero-copy into the store on the unfaulted path). @p staged_ids,
-     * when non-null, receives the page id of each surviving view in
-     * order (the typed tier numbers lines per source page).
+     * zero-copy into the store on the unfaulted path). @p staged_ids
+     * receives the page id of each surviving view in order (the host
+     * evaluator numbers lines per source page).
      */
     Status stagePages(std::span<const storage::PageId> pages,
                       storage::Link link,
                       std::vector<compress::ByteView> *views,
                       std::vector<compress::Bytes> *storage,
                       QueryResult *out,
-                      std::vector<storage::PageId> *staged_ids = nullptr);
+                      std::vector<storage::PageId> *staged_ids);
 
     /** Streams @p pages through the accelerator and fills @p out.
-     *  Degrades to hostScanViews when the filter pipeline faults. */
+     *  Falls back to hostScan over every data page when the cuckoo
+     *  compiler cannot encode the batch, and degrades to hostEvaluate
+     *  over the staged pages when the filter pipeline faults. */
     Status execute(std::span<const storage::PageId> pages,
                    std::span<const query::Query> queries,
                    QueryResult *out);
 
-    /** Host-side matching over already-staged pages (tolerant: pages
-     *  that fail to decode are dropped and counted). */
-    Status hostScanViews(std::span<const compress::ByteView> views,
-                         std::span<const query::Query> queries,
-                         QueryResult *out);
-
-    /** Software fallback for non-offloadable queries. */
-    Status softwareScan(std::span<const query::Query> queries,
-                        QueryResult *out);
-
-    /**
-     * The incident-response tier (DESIGN.md §15): typed + keyword
-     * index pruning in-storage, then an exact host-side evaluation of
-     * the full batch over the pruned pages. Owns the whole query
-     * lifecycle (span, wall clock, finishQuery). Degrades to
-     * typedScanPages over every data page when typed posting lists
-     * lost integrity or config_.use_typed_index is off.
-     */
-    Status runTyped(std::span<const query::Query> queries,
+    /** Stages @p pages to the host over the external link, sets
+     *  out->storage_time, and evaluates them with hostEvaluate. */
+    Status hostScan(std::span<const storage::PageId> pages,
+                    std::span<const query::Query> queries,
                     QueryResult *out);
 
-    /** Stages @p pages to the host (external link) and evaluates the
-     *  batch exactly — keyword terms and typed predicates — filling
-     *  match counts, kept lines, and global line numbers. */
-    Status typedScanPages(std::span<const storage::PageId> pages,
-                          std::span<const query::Query> queries,
-                          QueryResult *out);
+    /**
+     * The one host evaluator: decodes the staged pages one at a time
+     * and matches every line against the batch exactly (keyword terms
+     * and typed predicates), filling match counts, kept lines and
+     * global line numbers, in ingest order. @p ids are the staged
+     * pages' ids, parallel to @p views. Pages that fail to decode are
+     * dropped and counted.
+     */
+    Status hostEvaluate(std::span<const compress::ByteView> views,
+                        std::span<const storage::PageId> ids,
+                        std::span<const query::Query> queries,
+                        QueryResult *out);
 
     /** True when the entry-counter estimate says index traversal
      *  cannot prune enough to pay for itself. */
@@ -536,15 +535,6 @@ class MithriLog
 
     /** Publishes `storage.segments_live` / `storage.segments_freed`. */
     void updateStorageGauges();
-
-    /** Fills QueryResult::breakdown, closes the query span, and
-     *  records the per-query counters. @p index_pruned says whether
-     *  the candidate set came from index traversal (false-positive
-     *  accounting only applies then); @p retries_before is the
-     *  `ssd.read_retries` value at query start (delta attribution). */
-    void finishQuery(QueryResult *out, obs::Span *span,
-                     double wall_seconds, bool index_pruned,
-                     uint64_t retries_before);
 
     MithriLogConfig config_;
     std::unique_ptr<obs::MetricsRegistry> owned_metrics_;

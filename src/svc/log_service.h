@@ -115,8 +115,11 @@ struct ServiceQueryResult {
     /** Kept lines, concatenated in shard order (shard-local order
      *  within); byte-identical across worker counts. */
     std::vector<accel::KeptLine> lines;
-    /** Typed-tier shard-local line numbers, parallel to `lines` when
-     *  the batch carried typed predicates (empty otherwise). */
+    /** Shard-local line numbers of the lines the shards' host
+     *  evaluators kept (core::QueryResult::line_numbers: typed tier,
+     *  compile fallback, degraded software scan), concatenated in shard
+     *  order; parallel to `lines` when every shard evaluated on the
+     *  host, empty when every shard used the accelerator. */
     std::vector<uint64_t> line_numbers;
     std::vector<uint64_t> matched_per_query;
 

@@ -8,7 +8,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "baseline/scan_db.h"
 #include "baseline/splunk_lite.h"
@@ -97,13 +100,50 @@ TEST_F(CrossEngineTest, AllEnginesAgreeOnCounts)
 
 TEST_F(CrossEngineTest, IndexAndFullScanAgree)
 {
-    query::Query q = mustParse("ERROR & parity");
-    QueryResult indexed, scanned;
-    ASSERT_TRUE(system_->run(q, &indexed).isOk());
-    std::vector<query::Query> batch{q};
-    ASSERT_TRUE(system_->runFullScan(batch, &scanned).isOk());
-    EXPECT_EQ(indexed.matched_lines, scanned.matched_lines);
-    EXPECT_LE(indexed.pages_scanned, scanned.pages_scanned);
+    // One row per way run() can plan a query: index pruning, pruning
+    // on the positive term of a negated query, the planner's full scan
+    // of a common token, and the compile fallback (9 union sets exceed
+    // the accelerator's 8 flag pairs).
+    struct Row {
+        const char *query;
+        bool planned_full_scan;
+        bool used_fallback;
+    };
+    const Row rows[] = {
+        {"ERROR & parity", false, false},
+        {"parity & !ERROR", false, false},
+        {"RAS", true, false},
+        {"KERNEL | INFO | FATAL | ERROR | WARNING | cache | link | "
+         "daemon | parity",
+         true, true},
+    };
+    auto sortedTexts = [](const QueryResult &r) {
+        std::vector<std::string> texts;
+        for (const accel::KeptLine &line : r.lines) {
+            texts.push_back(line.text);
+        }
+        std::sort(texts.begin(), texts.end());
+        return texts;
+    };
+    for (const Row &row : rows) {
+        query::Query q = mustParse(row.query);
+        QueryResult indexed, scanned;
+        ASSERT_TRUE(system_->run(q, &indexed).isOk()) << row.query;
+        std::vector<query::Query> batch{q};
+        ASSERT_TRUE(system_->runFullScan(batch, &scanned).isOk())
+            << row.query;
+        EXPECT_EQ(indexed.planned_full_scan, row.planned_full_scan)
+            << row.query;
+        EXPECT_EQ(indexed.used_fallback, row.used_fallback) << row.query;
+        EXPECT_GT(indexed.matched_lines, 0u) << row.query;
+        EXPECT_EQ(indexed.matched_lines, scanned.matched_lines)
+            << row.query;
+        EXPECT_EQ(indexed.lines.size(), indexed.matched_lines)
+            << row.query;
+        EXPECT_EQ(sortedTexts(indexed), sortedTexts(scanned)) << row.query;
+        EXPECT_LE(indexed.pages_scanned, scanned.pages_scanned)
+            << row.query;
+    }
 }
 
 TEST_F(CrossEngineTest, ModeledAcceleratorBeatsPcieBound)

@@ -5,35 +5,23 @@
 #
 # Runs, in order (stopping at the first failure):
 #   1. werror build      full tree, -Wall -Wextra -Werror
-#   2. unit + bench tests ctest over the werror build
-#   3. fault matrix      tools/fault_matrix.sh — end-to-end queries
-#      under corruption/timeout/mixed fault plans stay exactly correct
-#   4. crash matrix      tools/crash_matrix.sh — power-cut at every
-#      device program; recovery never loses acknowledged data and
-#      never fabricates a match
-#   5. mg crash matrix   tools/crash_matrix.sh --rounds=2 — resume the
-#      recovered store under a fresh journal generation, cut again,
-#      recover again; the contract holds at every (cut1, cut2) pair of
-#      the bounded grid
-#   6. ckpt crash matrix tools/crash_matrix.sh --checkpoint — the same
-#      cut grid with the background checkpoint policy on, so cuts land
-#      inside snapshot writes, epoch bumps, and migrations; the final
-#      recovery must show bounded replay (snapshot + short chain tail)
-#   7. tsan tier         the svc-labelled concurrency tests under
+#   2. unit + bench tests ctest over the werror build — every ctest
+#      gate: the fault and crash matrices (fault_matrix, crash_matrix,
+#      crash_matrix_mg, crash_matrix_ckpt), the domain lint and its
+#      selftest (lint_domain, lint_selftest), clang-tidy (lint_tidy),
+#      and the thread-safety analysis with its fixtures (lint_tsa,
+#      tsa_fixture_*; the clang-only gates SKIP where clang is not
+#      installed)
+#   3. tsan tier         the svc-labelled concurrency tests under
 #      -fsanitize=thread (skipped where the toolchain lacks TSan)
-#   8. soak SLO smoke    a short deterministic open-loop soak run whose
+#   4. soak SLO smoke    a short deterministic open-loop soak run whose
 #      soak_slo record must repeat byte-identically and pass its
 #      end-to-end p99 gate
-#   9. typed-query smoke bench_typed_query — the incident scenario's
+#   5. typed-query smoke bench_typed_query — the incident scenario's
 #      typed_query records must repeat byte-identically, carry the
 #      schema keys, and show the typed tier reading fewer device bytes
 #      than the full scan for byte-identical match sets
-#  10. thread safety     tools/run_tsa.sh — Clang -Wthread-safety over
-#      src/, plus its fixture selftest (skipped where clang++ is not
-#      installed)
-#  11. domain lint       tools/mithril_lint.py (and its self-test)
-#  12. clang-tidy        tools/run_tidy.sh (skipped if not installed)
-#  13. ubsan build+test  full tree under -fsanitize=undefined
+#   6. ubsan build+test  full tree under -fsanitize=undefined
 #      (skipped with --fast)
 #
 # This is the command ROADMAP's tier-1 verify can grow into: a tree
@@ -55,22 +43,6 @@ cmake --build --preset werror -j "$JOBS"
 
 step "unit + bench tests"
 ctest --test-dir build-werror --output-on-failure -j "$JOBS"
-
-step "fault matrix (tools/fault_matrix.sh)"
-tools/fault_matrix.sh build-werror/examples/mithril_cli \
-    build-werror/fault_matrix_ci
-
-step "crash matrix (tools/crash_matrix.sh)"
-tools/crash_matrix.sh build-werror/examples/mithril_cli \
-    build-werror/crash_matrix_ci
-
-step "multi-generation crash matrix (crash_matrix.sh --rounds=2)"
-tools/crash_matrix.sh --rounds=2 build-werror/examples/mithril_cli \
-    build-werror/crash_matrix_mg_ci
-
-step "checkpointed crash matrix (crash_matrix.sh --checkpoint)"
-tools/crash_matrix.sh --checkpoint build-werror/examples/mithril_cli \
-    build-werror/crash_matrix_ckpt_ci
 
 step "tsan tier (svc concurrency tests, preset: tsan)"
 # Probe the toolchain the same way lint_tidy handles a missing
@@ -124,35 +96,6 @@ build-werror/bench/json_check "$TYPED_DIR/records_a.json" \
     typed_query matched_lines typed_index_bytes \
     typed_device_bytes full_scan_device_bytes byte_reduction
 echo "typed-query smoke: deterministic, schema-clean, bytes reduced"
-
-step "thread-safety analysis (tools/run_tsa.sh)"
-if tools/run_tsa.sh; then
-    tools/run_tsa.sh --selftest
-else
-    rc=$?
-    if [ "$rc" -eq 77 ]; then
-        echo "clang++ unavailable: SKIPPED"
-    else
-        exit "$rc"
-    fi
-fi
-
-step "domain lint (mithril_lint.py + selftest)"
-python3 tools/mithril_lint.py
-python3 tests/lint/lint_selftest.py > /dev/null
-echo "lint selftest: ok"
-
-step "clang-tidy"
-if tools/run_tidy.sh build-werror; then
-    :
-else
-    rc=$?
-    if [ "$rc" -eq 77 ]; then
-        echo "clang-tidy unavailable: SKIPPED"
-    else
-        exit "$rc"
-    fi
-fi
 
 if [ "$FAST" -eq 1 ]; then
     step "ubsan tier skipped (--fast)"

@@ -89,7 +89,7 @@ import sys
 # ---------------------------------------------------------------------------
 # Scan sets and per-rule allowlists (paths are repo-relative, '/'-separated).
 
-SCAN_DIRS = ("src", "bench", "examples", "tests", "tools")
+SCAN_DIRS = ("src", "bench", "examples", "perfbench", "tests", "tools")
 SOURCE_EXTS = (".cc", ".cpp", ".h", ".hpp")
 # Known-bad fixtures: lint fixtures (fed explicitly by the selftest)
 # and the WILL_FAIL thread-safety-analysis fixtures.
