@@ -265,7 +265,8 @@ mountImage(core::MithriLog *system, const std::string &img_path)
         return st;
     }
     obs::MetricsRegistry &m = system->metrics();
-    uint64_t generations = system->recoveredGenerations();
+    // format() mints generation 1 and each reopen() the next one.
+    uint64_t generation = system->recoveredGeneration();
     obs::JsonRecord("crash_recovery")
         .field("wall_seconds", timer.seconds())
         .field("modeled_ps",
@@ -282,8 +283,8 @@ mountImage(core::MithriLog *system, const std::string &img_path)
         .field("chain_records", system->recoveredChainRecords())
         .field("pages_swept",
                m.counter("recovery.pages_swept").value())
-        .field("generation", system->recoveredGeneration())
-        .field("reopens", generations > 0 ? generations - 1 : 0)
+        .field("generation", generation)
+        .field("reopens", generation > 0 ? generation - 1 : 0)
         .emit();
     return Status::ok();
 }
@@ -313,8 +314,9 @@ cmdIngest(const std::string &log_path, const std::string &img_path)
     // The write-side plan must attach *before* ingest so page programs
     // and the --crash-at power cut hit the durable commit protocol —
     // but *after* recovery, which replays the previous life's pages
-    // unfaulted (reopen's own journal programs are write draws 1, 2,
-    // or write_base+1, write_base+2 under a global ordinal base).
+    // unfaulted. reopen()'s own programs are the next write draws past
+    // write_base: one per 145 surviving pages (the snapshot), then the
+    // chain head, then the superblock.
     std::unique_ptr<fault::FaultPlan> plan;
     if (!g_fault_spec.empty() || g_crash_at > 0) {
         fault::FaultPlanConfig fc;

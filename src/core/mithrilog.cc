@@ -919,7 +919,9 @@ MithriLog::plannerPrefersScan(std::span<const query::Query> queries) const
 
 namespace {
 constexpr uint32_t kImageMagic = 0x474f4c4d;  // "MLOG"
-/** v6: a length-prefixed typed-index blob (key directory + sealed-page
+/** v7: the journal cursor leads with the five superblock cells and
+ *  drops the chained flag and the per-page replay position. v6: a
+ *  length-prefixed typed-index blob (key directory + sealed-page
  *  directory, DESIGN.md §15) follows the inverted-index blob; typed
  *  posting pages travel in the page dump like index pages. v5:
  *  storage-lifecycle images — the journal cursor is length-prefixed
@@ -929,7 +931,7 @@ constexpr uint32_t kImageMagic = 0x474f4c4d;  // "MLOG"
  *  widened the cursor to 8 words; v3 added the durable-commit state and
  *  the cursor; v2 images predate the journal layout. Older versions are
  *  rejected. */
-constexpr uint32_t kImageVersion = 6;
+constexpr uint32_t kImageVersion = 7;
 
 /** Raw device dump header (saveDeviceImage / recover). */
 constexpr uint32_t kDeviceMagic = 0x5645444d;  // "MDEV"
@@ -1310,13 +1312,11 @@ MithriLog::recover(const std::string &path)
     committed_raw_ = raw_bytes_;
     // A recovered store is read-only until reopen(): the journal cursor
     // died with the device, and only a fresh generation (Journal::
-    // reopen) can accept new records. Stash what reopen() needs — the
-    // replay summary and the verification cut (the base-link budget).
+    // reopen) can accept new records. Stash the replay summary it
+    // needs; the survivors (data_pages_) are a prefix of its pages.
     sealed_ = true;
     recovered_ = true;
     journal_sealed_ = rr.sealed;
-    reopen_accepted_ =
-        survivors.empty() ? 0 : survivors.back().cp.record_seq;
     reopen_rr_ = std::move(rr);
 
     metrics_->counter("recovery.journal_pages_replayed")
@@ -1359,22 +1359,22 @@ MithriLog::reopen()
     }
     obs::Span span = tracer_->span("recover.reopen", "core");
     // An empty recovered device (crash before the first commit) has no
-    // chain to graft: leave the journal unformatted and let the first
+    // journal to continue: leave it unformatted and let the first
     // commit lay it out lazily, exactly like a fresh store.
     if (ssd_.store().pageCount() > 0) {
-        Status st = journal_.reopen(reopen_rr_, reopen_accepted_);
+        Status st = journal_.reopen(reopen_rr_, data_pages_.size());
         if (!st.isOk()) {
             // The reopen writes are faultable device programs: a power
             // cut here is a real crash window (the pre-reopen state
-            // replays unchanged).
+            // replays unchanged until the new superblock lands).
             dead_ = true;
             return st;
         }
     }
     sealed_ = false;
     recovered_ = false;
-    // A snapshot-bearing reopen collapses and reclaims the old journal
-    // footprint; republish the occupancy it changed.
+    // Reopen reclaims the replayed journal footprint; republish the
+    // occupancy it changed.
     updateStorageGauges();
     span.end();
     return Status::ok();

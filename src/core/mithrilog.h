@@ -366,30 +366,24 @@ class MithriLog
     [[nodiscard]] Status recover(const std::string &path);
 
     /**
-     * Makes a recovered store writable again: re-opens the journal at
-     * the replayed tail under a fresh generation (Journal::reopen) and
-     * clears the recovery seal, so ingestLine() resumes through the
-     * normal durable commit protocol and the acknowledged prefix keeps
-     * growing past the crash. Only valid on a store produced by
-     * recover().
+     * Makes a recovered store writable again: publishes the verified
+     * survivors as a snapshot under the next journal generation
+     * (Journal::reopen) and clears the recovery seal, so ingestLine()
+     * resumes through the normal durable commit protocol and the
+     * acknowledged prefix keeps growing past the crash. Only valid on
+     * a store produced by recover().
      * @retval kFailedPrecondition the store is not recovered, or the
      *         replayed journal carried a seal — seal() is terminal by
      *         design and survives any number of crash/recover cycles.
      * @retval kUnavailable the device died (reopen writes are faultable:
-     *         a power cut *during* reopen replays the pre-reopen state).
+     *         a power cut *during* reopen replays the pre-reopen state,
+     *         or the post-reopen one once its superblock landed).
      */
     [[nodiscard]] Status reopen();
 
-    /** Generation of the newest chain the last recover() replayed
+    /** Generation of the superblock the last recover() replayed
      *  (0 when no valid superblock was found). */
     uint64_t recoveredGeneration() const { return reopen_rr_.generation; }
-
-    /** Generation chains the last recover() replayed — 1 for a
-     *  never-reopened store, +1 per reopen in the image's history. */
-    uint64_t recoveredGenerations() const
-    {
-        return reopen_rr_.generations;
-    }
 
     /** Live journal incarnation (0 before the first commit/reopen). */
     uint64_t journalGeneration() const { return journal_.generation(); }
@@ -598,9 +592,6 @@ class MithriLog
     bool journal_sealed_ = false;
     /** Replay summary of the last recover(), kept for reopen(). */
     storage::Journal::ReplayResult reopen_rr_;
-    /** Verification cut of the last recover(): global logical records
-     *  accepted (the base-link budget a reopen grafts). */
-    uint64_t reopen_accepted_ = 0;
     /** A commit failed mid-protocol (power cut or device error): the
      *  in-memory state no longer matches the media, so every mutating
      *  call fails until the image is recovered on a fresh system. */

@@ -36,44 +36,32 @@
  * Record kinds: kPageCommit (arg = data page id; page_crc covers the
  * full 4 KB data page; lines / raw_bytes are cumulative totals through
  * this page), kLink (arg = next journal page id), kSeal (store is
- * complete and immutable), kBaseLink (only ever the first record of a
- * reopened generation's chain: arg = previous chain's head page, the
- * lines field carries the previous generation, and the raw_bytes field
- * carries the *record budget* — exactly how many logical records of the
- * previous chain tree were verified good at reopen time), kMigrate (a
- * segment-cleaner copy commit: arg = logical data page, page_crc its
- * CRC, lines / raw_bytes the old / new physical slot; replay validates
- * and counts it but it changes no logical state — the translation map
- * is device metadata).
+ * complete and immutable), kMigrate (a segment-cleaner copy commit:
+ * arg = logical data page, page_crc its CRC, lines / raw_bytes the old
+ * / new physical slot; replay validates and counts it but it changes
+ * no logical state — the translation map is device metadata). Kind 4
+ * and superblock flag 2 are never written; replay stops at kind 4 like
+ * at any unknown kind.
  *
- * Generation chain (append-after-recovery): reopen() starts a fresh
- * chain at the replayed tail under generation G+1. Old-generation pages
- * are never rewritten; the new chain's base-link record grafts the
- * survivors by reference, and its CRC is seeded with the NEW generation
- * so stale old-generation bytes can never be replayed as new records.
- * Replay recurses through base links (oldest chain first), accepting at
- * most the declared budget from each base tree, so records the reopen
- * verification discarded stay discarded on every later mount.
- *
- * Checkpoint (DESIGN.md §14): checkpoint() serializes the committed
- * page table into snapshot pages, starts a fresh empty chain, and
- * publishes both with a single superblock epoch bump; the old chain and
- * old snapshot are freed only after the durability barrier that lands
- * the bump, so a power cut anywhere inside the protocol replays either
- * the old state or the new one, never a mix. A chain that builds on a
- * snapshot never contains base links: reopen() of a snapshot-bearing
- * history collapses the survivors into a fresh snapshot instead of
- * grafting (a base link can reference only a chain, not a snapshot).
+ * Generations (DESIGN.md §10, §14): format(), checkpoint() and reopen()
+ * share one publish step that writes the committed page table as a
+ * fresh snapshot, then a fresh empty chain head, then the superblock
+ * that names both. format() publishes generation 1 with no snapshot,
+ * checkpoint() keeps the generation, and reopen() (append-after-
+ * recovery) publishes the verified survivors under generation G+1.
+ * Record CRCs are seeded with the generation, so stale bytes of an
+ * older chain never validate in a newer one, and a mount replays one
+ * snapshot plus one chain tail however many reopens the history holds.
  *
  * Crash-safety argument: records are only ever *appended*, so rewriting
  * the current journal page has the identical-prefix property — a torn
  * program can damage only the newest record, which then fails its CRC
  * (or reads as kind 0) and replay stops exactly at the last durable
  * record. Chain growth writes the new page's header before the link
- * record that publishes it, reopen() and checkpoint() write every new
- * page (snapshot and chain head) before the superblock epoch that
- * publishes them, and freed pages are returned to the allocator only
- * after that epoch's barrier, so every crash window leaves a valid,
+ * record that publishes it; the publish step writes every new page
+ * before the superblock epoch that makes it reachable, and returns the
+ * old chain and snapshot pages to the allocator only after that
+ * epoch's barrier. Every crash window therefore leaves a valid,
  * replayable prefix (possibly the pre-reopen / pre-checkpoint one).
  */
 #ifndef MITHRIL_STORAGE_JOURNAL_H
@@ -100,25 +88,20 @@ class Journal
         uint32_t crc = 0;          ///< CRC32 of the full 4 KB data page
         uint64_t lines = 0;        ///< cumulative lines through this page
         uint64_t raw_bytes = 0;    ///< cumulative raw bytes ingested
-        uint64_t record_seq = 0;   ///< global replay position (from 1)
     };
 
     /** What a mount-time replay of the journal found. */
     struct ReplayResult {
         std::vector<CommittedPage> pages;
-        bool found = false;        ///< a valid superblock existed
         bool sealed = false;       ///< a seal record was replayed
         uint64_t journal_pages = 0;
         uint64_t records = 0;      ///< valid records replayed (incl. snapshot)
         uint64_t snapshot_records = 0; ///< of which from the snapshot
-        uint64_t epoch = 0;        ///< epoch of the chosen superblock
-        PageId head = kInvalidPage; ///< newest chain's head page
-        PageId snapshot_head = kInvalidPage; ///< snapshot list head
-        uint64_t generation = 0;   ///< newest chain's generation
-        uint64_t generations = 0;  ///< chains replayed (1 + base links)
-        /** Journal pages that validated during replay (all chains),
-         *  and snapshot pages that validated: the reachable journal
-         *  footprint, which reopen() may reclaim after a collapse. */
+        uint64_t epoch = 0;        ///< chosen superblock's (0: none valid)
+        uint64_t generation = 0;   ///< chosen superblock's (0: none valid)
+        /** Journal and snapshot pages that validated during replay: the
+         *  reachable journal footprint, which reopen() frees once the
+         *  next generation is durable. */
         std::vector<PageId> chain_pages;
         std::vector<PageId> snapshot_pages;
     };
@@ -128,52 +111,39 @@ class Journal
      *  the generation / chain / snapshot record gauges. */
     explicit Journal(SsdModel *ssd, obs::MetricsRegistry *metrics = nullptr);
 
-    /** True once format() ran (or a cursor was deserialized). */
-    bool formatted() const { return head_ != kInvalidPage; }
+    /** True once a superblock was published (or a cursor restored). */
+    bool formatted() const { return sb_.cells().head != kInvalidPage; }
 
     /**
      * Lays out the journal on an *empty* device (asserted): reserves
-     * the two superblock slots and the first journal page, then
-     * publishes superblock epoch 1. Ends with a durability barrier.
+     * the two superblock slots and publishes generation 1 at epoch 1
+     * with an empty chain. Ends with a durability barrier.
      */
     Status format();
 
     /**
-     * Lays out a *fresh generation* of the journal at the replayed tail
-     * of a recovered device: allocates a new chain head past the
-     * existing pages, bumps the generation past @p rr's, and — when the
-     * replay found survivors — opens the chain with a base-link record
-     * granting exactly @p accepted_records logical records from the old
-     * chain tree (the reopen-time verification cut; everything past it
-     * stays discarded forever). When the replayed history carries a
-     * snapshot, the survivors are instead *collapsed* into a fresh
-     * snapshot under the new generation (a base link cannot graft a
-     * snapshot), and the old chain + snapshot pages are reclaimed once
-     * the new superblock is durable. Publishes superblock epoch
-     * rr.epoch+1 and ends with a durability barrier. Crash-safe in
-     * every window: the new pages land before the superblock that makes
-     * them reachable, and old pages are neither rewritten nor freed
-     * before the barrier, so a cut replays either the pre-reopen or the
-     * post-reopen state, never a mix.
-     * The journal must not have a cursor yet (fresh mount) and @p rr
-     * must not be sealed — seal is terminal.
+     * Starts the next generation on a recovered device: publishes the
+     * first @p survivors entries of @p rr.pages (the prefix the mount
+     * verified) as a fresh snapshot under generation rr.generation+1,
+     * with an empty chain, at superblock epoch rr.epoch+1, then frees
+     * the footprint the replay walked. A cut before the new superblock
+     * lands replays the pre-reopen store; after it, the post-reopen
+     * one. Entries past @p survivors are dropped for good. The journal
+     * must not have a cursor yet (fresh mount) and @p rr must not be
+     * sealed — seal is terminal.
      */
-    Status reopen(const ReplayResult &rr, uint64_t accepted_records);
+    Status reopen(const ReplayResult &rr, size_t survivors);
 
     /**
-     * Checkpoint (DESIGN.md §14): serializes the committed page table
-     * into snapshot pages, truncates the chain to a fresh empty head,
-     * and publishes {snapshot, new head} with one superblock epoch
-     * bump, then a durability barrier; only after the barrier are the
-     * old chain and old snapshot pages returned to the allocator. After
-     * this, mount-time replay is O(snapshot + tail): the snapshot
-     * replays as base_records logical records and the chain restarts at
-     * chain-local seq 1. Committed state (acknowledged lines, page
-     * table) is exactly preserved — the ack point never moves. Pass
-     * @p sealed when the store carries a durable seal: the truncated
-     * chain loses the seal *record*, so the new superblock must keep
-     * the sealed *flag* (seal is terminal; checkpoint is maintenance,
-     * not mutation).
+     * Checkpoint (DESIGN.md §14): publishes the committed page table as
+     * a snapshot with an empty chain under the same generation, then
+     * frees the old chain and snapshot pages. After this, mount-time
+     * replay is O(snapshot + tail). Committed state (acknowledged
+     * lines, page table) is exactly preserved — the ack point never
+     * moves. Pass @p sealed when the store carries a durable seal: the
+     * truncated chain loses the seal *record*, so the new superblock
+     * must keep the sealed *flag* (seal is terminal; checkpoint is
+     * maintenance, not mutation).
      */
     Status checkpoint(bool sealed = false);
 
@@ -206,10 +176,10 @@ class Journal
      * one with the highest epoch, loads its snapshot (if any), and
      * walks the journal chain until the first invalid record. All reads
      * are metered device traffic. A damaged snapshot invalidates the
-     * chain built on it (prefix semantics, mirroring base-link budget
-     * shortfall). A device with no valid superblock yields found=false
-     * and ok — recovering to an empty store is the correct answer for a
-     * crash before format completed.
+     * chain built on it (prefix semantics). A device with no valid
+     * superblock yields an empty result (epoch 0) and ok — recovering
+     * to an empty store is the correct answer for a crash before format
+     * completed.
      */
     Status replay(ReplayResult *out);
 
@@ -224,20 +194,8 @@ class Journal
     Status deserialize(const uint8_t *data, size_t len,
                        size_t *consumed);
 
-    /** Records appended since construction (not counting replay). */
-    uint64_t recordsAppended() const { return records_appended_; }
-
-    /** Journal/superblock page programs issued since construction. */
-    uint64_t pageWrites() const { return page_writes_; }
-
     /** Current journal incarnation (0 until format/reopen/restore). */
-    uint64_t generation() const { return generation_; }
-
-    /** reopen() calls on this object (not counting replayed history). */
-    uint64_t reopens() const { return reopens_; }
-
-    /** True when this cursor's chain grafts an older generation. */
-    bool chained() const { return chained_; }
+    uint64_t generation() const { return sb_.cells().generation; }
 
     /** Records in the live chain (what a mount must replay past the
      *  snapshot); this is the quantity checkpoint() resets to zero. */
@@ -246,52 +204,84 @@ class Journal
     /** Logical records summarized by the live snapshot (0 if none). */
     uint64_t snapshotRecords() const
     {
-        return snapshot_head_ != kInvalidPage ? base_records_ : 0;
+        return sb_.cells().snapshot_records;
     }
 
     /** checkpoint() calls completed on this cursor's lifetime. */
     uint64_t checkpoints() const { return checkpoints_; }
 
   private:
+    /**
+     * The cells the newest durable superblock holds. Only a superblock
+     * program the device accepted (program()) and the host-image
+     * restore (restore()) change them, so the cursor never names an
+     * epoch, generation, chain or snapshot a mount would not replay.
+     */
+    class Superblock
+    {
+      public:
+        struct Cells {
+            uint64_t epoch = 0;
+            uint64_t generation = 0;
+            PageId head = kInvalidPage;          ///< chain head page
+            PageId snapshot_head = kInvalidPage; ///< snapshot list head
+            uint64_t snapshot_records = 0;
+        };
+
+        /** Deleted so that no other path can overwrite the cells. */
+        Superblock &operator=(const Superblock &) = delete;
+
+        const Cells &cells() const { return cells_; }
+
+        /** Programs @p next with @p flags into its ping-pong slot and
+         *  adopts it once the device accepted the page. */
+        Status program(SsdModel *ssd, const Cells &next, uint64_t flags);
+
+        /** Parses a superblock page; false when torn or foreign. */
+        static bool decode(const uint8_t *page, Cells *cells,
+                           uint64_t *flags);
+
+        /** Host-image form: the five cells as u64s. */
+        static constexpr size_t kSerializedBytes = 5 * sizeof(uint64_t);
+        void serialize(std::vector<uint8_t> *out) const;
+        void restore(const uint8_t *data);
+
+      private:
+        Cells cells_;
+    };
+
+    /** The one publish step of format(), checkpoint() and reopen():
+     *  committed_ as a snapshot, a fresh chain head, the superblock
+     *  naming both, the barrier, then frees the replaced chain and
+     *  snapshot pages. */
+    Status publish(uint64_t epoch, uint64_t generation, uint64_t flags);
     Status appendRecord(uint32_t kind, uint64_t arg, uint32_t page_crc,
                         uint64_t lines, uint64_t raw_bytes);
-    void replayChain(PageId head, uint64_t chain_generation,
-                     uint64_t ceiling, int depth, ReplayResult *out,
-                     bool *saw_seal);
+    bool replayChain(PageId head, uint64_t generation, ReplayResult *out);
     bool replaySnapshot(PageId head, uint64_t generation,
                         uint64_t expected, ReplayResult *out);
-    Status writeSnapshot(PageId *head_out);
+    Status writeSnapshot(uint64_t generation, PageId *head_out);
     Status writeCurrentPage();
-    Status writeSuperblock(uint64_t epoch, uint64_t flags);
-    void initPageImage(std::vector<uint8_t> *image, uint32_t seq) const;
-    Status startFreshChain();
+    Status startFreshChain(uint64_t generation);
     void updateObsGauges();
 
     SsdModel *ssd_;
-    PageId head_ = kInvalidPage;  ///< newest chain's first journal page
+    Superblock sb_;
     PageId cur_ = kInvalidPage;   ///< journal page being appended to
     uint32_t cur_seq_ = 0;        ///< chain position of cur_
     size_t cur_count_ = 0;        ///< records already in cur_
     uint64_t next_seq_ = 1;       ///< next chain-local record seq
-    uint64_t epoch_ = 0;          ///< last superblock epoch published
-    uint64_t generation_ = 0;     ///< journal incarnation stamp
-    bool chained_ = false;        ///< chain opens with a base link
-    uint64_t reopens_ = 0;
-    PageId snapshot_head_ = kInvalidPage; ///< live snapshot list head
-    uint64_t base_records_ = 0;   ///< logical records before the chain
     uint64_t checkpoints_ = 0;
-    /** Committed page table in commit order: what checkpoint() writes
-     *  into the snapshot. Maintained by appendPageCommit / reopen /
-     *  deserialize; never read by replay (the media is authoritative
-     *  at mount). */
+    /** Committed page table in commit order: what the publish step
+     *  writes into the snapshot. Maintained by appendPageCommit /
+     *  reopen / deserialize; never read by replay (the media is
+     *  authoritative at mount). */
     std::vector<CommittedPage> committed_;
-    /** Pages of the live chain / snapshot — the set checkpoint() frees
-     *  after the next epoch bump is durable. */
+    /** Pages of the live chain / snapshot — the set the next publish
+     *  frees after its epoch bump is durable. */
     std::vector<PageId> chain_pages_;
     std::vector<PageId> snapshot_pages_;
     std::vector<uint8_t> cur_image_;
-    uint64_t records_appended_ = 0;
-    uint64_t page_writes_ = 0;
     std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
     obs::Counter *obs_records_ = nullptr;
     obs::Counter *obs_page_writes_ = nullptr;

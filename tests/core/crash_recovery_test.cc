@@ -13,12 +13,14 @@
  *                recovered, and match counts bit-for-bit;
  *   completion:  a cut point past the last write never fires.
  *
- * Append-after-recovery (journal generation chain): a recovered store
- * is read-only until reopen(), which re-opens the journal under a
- * fresh generation linked to the replayed tail. The same contract must
- * then hold across a SECOND cut — recovery replays the whole
- * multi-generation chain as one logical prefix of the concatenated
- * ingest stream — and repeated recoveries stay byte-identical.
+ * Append-after-recovery (journal generations): a recovered store is
+ * read-only until reopen(), which publishes the verified survivors as
+ * a snapshot under the next generation. The same contract must then
+ * hold across a SECOND cut — recovery replays snapshot + chain tail as
+ * one logical prefix of the concatenated ingest stream — and repeated
+ * recoveries stay byte-identical. A power cut inside reopen() replays
+ * the pre-reopen store, and any number of reopen cycles still replays
+ * one snapshot plus one tail.
  */
 #include <gtest/gtest.h>
 
@@ -59,6 +61,32 @@ corpus(size_t lines)
                       " filler text keeps pages turning over quickly");
     }
     return out;
+}
+
+/** Device-image bytes of @p path. */
+std::string
+readImage(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+/** Copies the superblock slots (device pages 0 and 1) of image @p from
+ *  over those of image @p to: what a superblock program that persisted
+ *  none of its page leaves behind. */
+void
+restoreSuperblockSlots(const std::string &from, const std::string &to)
+{
+    constexpr size_t kHeaderBytes = 16;
+    constexpr size_t kSlotBytes = 2 * 4096;
+    std::string src = readImage(from);
+    std::string dst = readImage(to);
+    ASSERT_GE(src.size(), kHeaderBytes + kSlotBytes);
+    ASSERT_GE(dst.size(), kHeaderBytes + kSlotBytes);
+    dst.replace(kHeaderBytes, kSlotBytes, src, kHeaderBytes, kSlotBytes);
+    std::ofstream(to, std::ios::binary) << dst;
 }
 
 /** Outcome of one power-cut run (all fields deterministic). */
@@ -359,8 +387,8 @@ TEST_F(CrashRecoveryTest, DoubleRecoverIsIdempotent)
 TEST_F(CrashRecoveryTest, ReopenWithoutIngestRecoversToSameStore)
 {
     // recover -> reopen -> ingest nothing -> dump -> recover must be
-    // an identity round trip: the fresh generation holds only the base
-    // link, and its budget replays exactly the verified prefix.
+    // an identity round trip: the fresh generation holds the verified
+    // prefix as its snapshot and an empty chain.
     std::vector<std::string> lines = corpus(2000);
     CutOutcome o = runCut(lines, 8);
     ASSERT_TRUE(o.fired);
@@ -376,10 +404,153 @@ TEST_F(CrashRecoveryTest, ReopenWithoutIngestRecoversToSameStore)
         ASSERT_TRUE(mounted.recover(path2_).isOk());
         EXPECT_EQ(mounted.lineCount(), o.recovered) << round;
         EXPECT_EQ(mounted.recoveredGeneration(), 2u) << round;
-        EXPECT_EQ(mounted.recoveredGenerations(), 2u) << round;
+        EXPECT_EQ(mounted.recoveredSnapshotRecords(),
+                  mounted.dataPageCount())
+            << round;
+        EXPECT_EQ(mounted.recoveredChainRecords(), 0u) << round;
         QueryResult r;
         ASSERT_TRUE(mounted.run(mustParse("payload"), &r).isOk());
         EXPECT_EQ(r.matched_lines, o.matches) << round;
+    }
+}
+
+TEST_F(CrashRecoveryTest, ManyReopenCyclesKeepEveryAcknowledgedLine)
+{
+    // recover -> reopen -> ingest one line -> flush -> dump, over and
+    // over with no checkpoint: every mount keeps every acknowledged
+    // line, and its replay tail is the one commit since the last
+    // reopen, however long the history grows.
+    std::vector<std::string> lines = corpus(50);
+    uint64_t acknowledged = 0;
+    {
+        MithriLog log;
+        for (const std::string &line : lines) {
+            ASSERT_TRUE(log.ingestLine(line).isOk());
+        }
+        ASSERT_TRUE(log.flush().isOk());
+        acknowledged = log.durableLineCount();
+        ASSERT_TRUE(log.saveDeviceImage(path_).isOk());
+    }
+    for (int cycle = 1; cycle <= 70; ++cycle) {
+        MithriLog log;
+        ASSERT_TRUE(log.recover(path_).isOk()) << cycle;
+        ASSERT_GE(log.lineCount(), acknowledged) << "cycle " << cycle;
+        if (cycle > 1) {
+            EXPECT_EQ(log.recoveredChainRecords(), 1u) << "cycle " << cycle;
+        }
+        ASSERT_TRUE(log.reopen().isOk()) << cycle;
+        std::string line = "crash payload seq" +
+                           std::to_string(log.lineCount()) +
+                           " cycle" + std::to_string(cycle);
+        ASSERT_TRUE(log.ingestLine(line).isOk()) << cycle;
+        ASSERT_TRUE(log.flush().isOk()) << cycle;
+        acknowledged = log.durableLineCount();
+        ASSERT_TRUE(log.saveDeviceImage(path_).isOk()) << cycle;
+    }
+    MithriLog mounted;
+    ASSERT_TRUE(mounted.recover(path_).isOk());
+    EXPECT_EQ(mounted.lineCount(), acknowledged);
+    EXPECT_EQ(mounted.recoveredGeneration(), 71u);
+    QueryResult r;
+    ASSERT_TRUE(mounted.run(mustParse("payload"), &r).isOk());
+    EXPECT_EQ(r.matched_lines, acknowledged);
+}
+
+TEST_F(CrashRecoveryTest, PowerCutInsideReopenReplaysOneSideOfIt)
+{
+    // Survivors spanning more than one snapshot page (145 entries
+    // each), from a history checkpointed halfway so the reopen also
+    // retires an old snapshot. reopen() programs ceil(S/145) snapshot
+    // pages, the chain head and the superblock. A cut at a snapshot
+    // page or the chain head recovers exactly the pre-reopen store, a
+    // cut after the barrier exactly the post-reopen one. A cut inside
+    // the superblock program lands on either, by how much of the page
+    // persisted, never on a mix.
+    constexpr uint64_t kSnapshotEntriesPerPage = 145;
+    std::vector<std::string> lines = corpus(20000);
+    {
+        MithriLog log;
+        for (size_t i = 0; i < lines.size(); ++i) {
+            ASSERT_TRUE(log.ingestLine(lines[i]).isOk());
+            if (i == lines.size() / 2) {
+                ASSERT_TRUE(log.checkpoint().isOk());
+            }
+        }
+        ASSERT_TRUE(log.flush().isOk());
+        ASSERT_GT(log.dataPageCount(), kSnapshotEntriesPerPage);
+        ASSERT_TRUE(log.saveDeviceImage(path_).isOk());
+    }
+    MithriLog before;
+    ASSERT_TRUE(before.recover(path_).isOk());
+    const uint64_t pages = before.dataPageCount();
+    const uint64_t programs =
+        (pages + kSnapshotEntriesPerPage - 1) / kSnapshotEntriesPerPage + 2;
+    ASSERT_GT(before.recoveredSnapshotRecords(), 0u);
+    ASSERT_GT(before.recoveredChainRecords(), 0u);
+
+    // Recovers @p path, checks it is exactly the pre-reopen store or
+    // exactly the post-reopen one, and says which (true: post).
+    auto recoverSide = [&](const std::string &path, uint64_t cut) {
+        MithriLog mounted;
+        EXPECT_TRUE(mounted.recover(path).isOk()) << "cut=" << cut;
+        const bool published =
+            mounted.recoveredGeneration() != before.recoveredGeneration();
+        EXPECT_EQ(mounted.lineCount(), before.lineCount()) << "cut=" << cut;
+        EXPECT_EQ(mounted.dataPageCount(), pages) << "cut=" << cut;
+        if (published) {
+            EXPECT_EQ(mounted.recoveredGeneration(),
+                      before.recoveredGeneration() + 1)
+                << "cut=" << cut;
+            EXPECT_EQ(mounted.recoveredSnapshotRecords(), pages)
+                << "cut=" << cut;
+            EXPECT_EQ(mounted.recoveredChainRecords(), 0u) << "cut=" << cut;
+        } else {
+            EXPECT_EQ(mounted.recoveredSnapshotRecords(),
+                      before.recoveredSnapshotRecords())
+                << "cut=" << cut;
+            EXPECT_EQ(mounted.recoveredChainRecords(),
+                      before.recoveredChainRecords())
+                << "cut=" << cut;
+        }
+        QueryResult r;
+        EXPECT_TRUE(mounted.run(mustParse("payload"), &r).isOk());
+        EXPECT_EQ(r.matched_lines, before.lineCount()) << "cut=" << cut;
+        return published;
+    };
+
+    for (uint64_t cut = 1; cut <= programs + 1; ++cut) {
+        fault::FaultPlanConfig fc;
+        fc.seed = 1;
+        fc.power_cut_after_writes = cut;
+        fault::FaultPlan plan(fc);
+        MithriLog log;
+        ASSERT_TRUE(log.recover(path_).isOk());
+        log.ssd().attachFaultPlan(&plan);
+        Status st = log.reopen();
+        if (cut <= programs) {
+            ASSERT_EQ(st.code(), StatusCode::kUnavailable)
+                << "cut=" << cut << " " << st.toString();
+        } else {
+            // Past the barrier: the next program, a data page, dies.
+            ASSERT_TRUE(st.isOk()) << st.toString();
+            ASSERT_EQ(plan.counters().write_draws, programs);
+            ASSERT_TRUE(log.ingestLine("crash payload lost").isOk());
+            ASSERT_EQ(log.flush().code(), StatusCode::kUnavailable);
+        }
+        ASSERT_TRUE(log.saveDeviceImage(path2_).isOk());
+
+        const bool published = recoverSide(path2_, cut);
+        if (cut < programs) {
+            EXPECT_FALSE(published) << "cut=" << cut;
+        } else if (cut > programs) {
+            EXPECT_TRUE(published);
+        } else {
+            // Had the superblock program persisted nothing, the old
+            // superblock would still have to name an intact chain and
+            // snapshot: nothing is freed before the barrier.
+            restoreSuperblockSlots(path_, path2_);
+            EXPECT_FALSE(recoverSide(path2_, cut));
+        }
     }
 }
 
@@ -419,14 +590,7 @@ TEST_F(CrashRecoveryTest, ReopenAfterFinalPageDroppedByReplayCut)
     ASSERT_TRUE(o.fired);
     ASSERT_GT(o.recovered, 0u);
 
-    std::string img;
-    {
-        std::ifstream in(path_, std::ios::binary);
-        ASSERT_TRUE(in.good());
-        std::ostringstream ss;
-        ss << in.rdbuf();
-        img = ss.str();
-    }
+    std::string img = readImage(path_);
     uint64_t pages = 0;
     ASSERT_GE(img.size(), 16u);
     std::memcpy(&pages, img.data() + 8, sizeof pages);

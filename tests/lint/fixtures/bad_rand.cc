@@ -8,3 +8,4 @@ roll()
     srand(time(nullptr));  // line 8: banned-rand-time (srand AND time)
     return rand();  // line 9: banned-rand-time
 }
+// mithril-lint: allow(no-such-rule) line 11: names a rule that does not exist

@@ -62,6 +62,7 @@ rc, out = run_lint("bad_rand.cc")
 expect(rc == 1, "bad_rand.cc exits 1")
 expect_finding(out, "bad_rand.cc", 8, "banned-rand-time")
 expect_finding(out, "bad_rand.cc", 9, "banned-rand-time")
+expect_finding(out, "bad_rand.cc", 11, "suppression")
 
 rc, out = run_lint("bad_new.cc")
 expect(rc == 1, "bad_new.cc exits 1")
@@ -121,28 +122,6 @@ expect_finding(out, "audited_relaxed_atomic.cc", 18,
                "atomics-discipline")
 expect("audited_relaxed_atomic.cc:12" not in out,
        "justified relaxed use in an audited file is not flagged")
-
-rc, out = run_lint("bad_generation.cc")
-expect(rc == 1, "bad_generation.cc exits 1")
-expect_finding(out, "bad_generation.cc", 18, "generation-bump")
-expect_finding(out, "bad_generation.cc", 30, "generation-bump")
-expect("bad_generation.cc:9" not in out,
-       "the member declaration initializer is not flagged")
-expect("bad_generation.cc:24" not in out,
-       "Journal::format() may mint a generation")
-
-rc, out = run_lint("bad_checkpoint.cc")
-expect(rc == 1, "bad_checkpoint.cc exits 1")
-expect_finding(out, "bad_checkpoint.cc", 20, "checkpoint-epoch")
-expect_finding(out, "bad_checkpoint.cc", 33, "checkpoint-epoch")
-expect("bad_checkpoint.cc:10" not in out,
-       "the epoch member declaration initializer is not flagged")
-expect("bad_checkpoint.cc:11" not in out,
-       "the snapshot-head declaration initializer is not flagged")
-expect("bad_checkpoint.cc:26" not in out,
-       "Journal::checkpoint() may bump the epoch")
-expect("bad_checkpoint.cc:27" not in out,
-       "Journal::checkpoint() may publish the snapshot head")
 
 rc, out = run_lint("bad_latency.cc")
 expect(rc == 1, "bad_latency.cc exits 1")

@@ -46,17 +46,6 @@ repo-specific invariants no generic tool knows about:
                      svc routing counters), and every relaxed line must
                      carry a `relaxed:` justification comment on the
                      line or within the 6 lines above.
-  generation-bump    the journal generation stamp may only be minted
-                     by the two chain-head writers, Journal::format()
-                     and Journal::reopen(); any other write would fork
-                     the generation chain that crash recovery's
-                     budget-pinned replay walks.
-  checkpoint-epoch   the superblock epoch and snapshot head may only
-                     be written by the checkpoint protocol's own
-                     publishers (Journal::format/checkpoint/reopen/
-                     writeSuperblock); any other write could publish a
-                     half-built snapshot or tear the ping-pong
-                     superblock's atomic epoch bump.
   typed-extractor    typed-field parsing (addresses, MACs, hex ids,
                      timestamps) lives in src/typed/ so ingest-time
                      extraction and query-time predicates normalize
@@ -74,8 +63,8 @@ repo-specific invariants no generic tool knows about:
                      uplevel includes; <system> before "project" blocks.
 
 Suppression: append `// mithril-lint: allow(<rule>) <why>` to the line
-(or the line above). Suppressions without a justification are findings
-themselves.
+(or the line above). Suppressions without a justification, or naming a
+rule that does not exist, are findings themselves.
 
 Exit codes: 0 clean, 1 findings, 2 usage/internal error.
 Stdlib-only by design; runs anywhere python3 runs.
@@ -144,13 +133,6 @@ RULE_HINTS = {
                           "lock-free files and justify each use with "
                           "a `relaxed:` comment nearby; default to "
                           "seq_cst (or a mutex) elsewhere",
-    "generation-bump": "mint generations only in Journal::format()/"
-                       "Journal::reopen(); a restore site (cursor "
-                       "deserialize) needs a justified allow()",
-    "checkpoint-epoch": "publish the epoch/snapshot head only from "
-                        "Journal::format/checkpoint/reopen/"
-                        "writeSuperblock; a restore site (cursor "
-                        "deserialize) needs a justified allow()",
     "adhoc-latency": "record latency through obs::StageLatency/"
                      "StageTimer (obs/histogram.h) so the sample lands "
                      "in a quantile histogram, not a scalar",
@@ -223,6 +205,10 @@ def suppressions(lines):
                 allow_at.setdefault(target, set()).update(rules)
             if not m.group("why").strip():
                 allow_at.setdefault("missing-why", []).append(i)
+            # A suppression outliving its rule would hide nothing today
+            # and silently re-arm if the name is ever reused.
+            for rule in sorted(rules - RULE_HINTS.keys()):
+                allow_at.setdefault("unknown-rule", []).append((i, rule))
     return allow_at
 
 
@@ -459,91 +445,6 @@ def check_atomics_discipline(relpath, raw):
 
 
 # ---------------------------------------------------------------------------
-# generation-bump: the journal generation stamp may only be minted by
-# the two chain-head writers — Journal::format() (a fresh chain) and
-# Journal::reopen() (the next generation grafted onto the replayed
-# head). Any other write forks the generation chain that recovery's
-# budget-pinned replay walks. Member default initializers are
-# construction, not a bump; the cursor-restore site in deserialize()
-# carries an explicit allow().
-
-_GEN_WRITE_RE = re.compile(
-    r"\bgeneration_\s*(?:=(?!=)|\+=|-=)|"
-    r"(?:\+\+|--)\s*generation_\b|\bgeneration_\s*(?:\+\+|--)")
-# A member declaration with a default initializer: a type token
-# precedes the name.
-_GEN_DECL_RE = re.compile(r"^\s*(?:static\s+|const\s+|constexpr\s+)*"
-                          r"[A-Za-z_][\w:<>]*\s+generation_\s*[={]")
-# Out-of-class method definition; repo style puts the return type on
-# its own line, so the definition line starts with `Class::name(`.
-_METHOD_DEF_RE = re.compile(r"^(?P<cls>\w+)::(?P<name>~?\w+)\s*\(")
-_GEN_MINTERS = {("Journal", "format"), ("Journal", "reopen")}
-
-
-def check_generation_bump(relpath, code):
-    func = None
-    for i, line in enumerate(code, start=1):
-        m = _METHOD_DEF_RE.match(line)
-        if m is not None:
-            func = (m.group("cls"), m.group("name"))
-        if not _GEN_WRITE_RE.search(line):
-            continue
-        if _GEN_DECL_RE.match(line):
-            continue
-        if func in _GEN_MINTERS:
-            continue
-        yield (i, "generation-bump",
-               "journal generation written outside Journal::format()/"
-               "Journal::reopen()")
-
-
-# ---------------------------------------------------------------------------
-# checkpoint-epoch: the ping-pong superblock's epoch and the snapshot
-# list head are the two cells whose single atomic publication makes
-# checkpoint truncation crash-safe (DESIGN.md §14). Only the protocol's
-# own publishers may write them — Journal::format() (epoch 1, no
-# snapshot), Journal::checkpoint() (the truncation bump),
-# Journal::reopen() (the collapse bump), and writeSuperblock() (the
-# single mint point both funnel through). Any other write could expose
-# a half-built snapshot or tear the old-or-new-never-a-mix guarantee.
-# Member default initializers are construction, not publication; the
-# cursor-restore sites in deserialize() carry explicit allow()s. The
-# rule binds to Journal's *methods*, not a path: other classes may own
-# an unrelated epoch_ (loggen's timestamp clock does), but only
-# Journal's cells carry this protocol.
-
-_CKPT_FIELDS = r"(?:epoch_|snapshot_head_)"
-_CKPT_WRITE_RE = re.compile(
-    rf"\b{_CKPT_FIELDS}\s*(?:=(?!=)|\+=|-=)|"
-    rf"(?:\+\+|--)\s*{_CKPT_FIELDS}\b|"
-    rf"\b{_CKPT_FIELDS}\s*(?:\+\+|--)")
-_CKPT_DECL_RE = re.compile(
-    rf"^\s*(?:static\s+|const\s+|constexpr\s+)*"
-    rf"[A-Za-z_][\w:<>]*\s+{_CKPT_FIELDS}\s*[={{]")
-_CKPT_MINTERS = {("Journal", "format"), ("Journal", "checkpoint"),
-                 ("Journal", "reopen"), ("Journal", "writeSuperblock")}
-
-
-def check_checkpoint_epoch(relpath, code):
-    func = None
-    for i, line in enumerate(code, start=1):
-        m = _METHOD_DEF_RE.match(line)
-        if m is not None:
-            func = (m.group("cls"), m.group("name"))
-        if not _CKPT_WRITE_RE.search(line):
-            continue
-        if func is None or func[0] != "Journal":
-            continue
-        if _CKPT_DECL_RE.match(line):
-            continue
-        if func in _CKPT_MINTERS:
-            continue
-        yield (i, "checkpoint-epoch",
-               "superblock epoch/snapshot head written outside the "
-               "checkpoint protocol's publishers")
-
-
-# ---------------------------------------------------------------------------
 # typed-extractor: typed-field parsing stays inside src/typed/ so the
 # extraction run at ingest and the predicate parsing run at query time
 # are the same audited code — the typed tier's exactness argument
@@ -732,8 +633,6 @@ SIMPLE_RULES = (
     check_raw_mutex,
     check_lock_order,
     check_atomics_discipline,
-    check_generation_bump,
-    check_checkpoint_epoch,
     check_typed_extractor,
     check_adhoc_latency,
     check_header_guard,
@@ -753,8 +652,6 @@ RULE_OF_CHECK = {
     check_raw_mutex: "raw-mutex",
     check_lock_order: "lock-order",
     check_atomics_discipline: "atomics-discipline",
-    check_generation_bump: "generation-bump",
-    check_checkpoint_epoch: "checkpoint-epoch",
     check_typed_extractor: "typed-extractor",
     check_adhoc_latency: "adhoc-latency",
     check_header_guard: "header-guard",
@@ -801,6 +698,9 @@ def lint(root, paths):
         for bad_line in allow_at.get("missing-why", []):
             findings.append((rel, bad_line, "suppression",
                              "allow() without a justification"))
+        for bad_line, rule in allow_at.get("unknown-rule", []):
+            findings.append((rel, bad_line, "suppression",
+                             f"allow() names unknown rule '{rule}'"))
         per_file = []
         for check in SIMPLE_RULES:
             rule = RULE_OF_CHECK[check]
