@@ -25,26 +25,12 @@
  *   --qps=<n>              (soak) offered query rate (virtual)
  *   --metrics-out=<path>   write a JSON metrics snapshot on exit
  *   --trace-out=<path>     write a Chrome-trace (Perfetto) span file
- *   --fault-plan=<spec>    attach a deterministic fault-injection plan
- *                          to the device before running (ingest and
- *                          query); spec example:
+ *   --fault-plan=<spec>    (query/svc) attach a deterministic fault-
+ *                          injection plan to the device before the
+ *                          query runs; spec example:
  *                          "seed=3,ber=1e-6,timeout=0.01"
  *                          (keys: seed ber ecc timeout garble torn
  *                          drop cut_after retries backoff_us)
- *   --crash-at=<N>         (ingest) power-cut the device on its Nth
- *                          page program; the dead device's NAND is
- *                          dumped to <out.img> as a raw device image
- *                          and `crash: acknowledged=<lines>` reports
- *                          the durable prefix. With --fault-plan
- *                          write_base=<W>, N addresses the *global*
- *                          write ordinal of a multi-life history.
- *   --recover              (query/stat) mount <in.img> as a raw
- *                          crash image via journal replay instead of
- *                          loading a clean host image;
- *                          (ingest) recover <out.img> first, re-open
- *                          its journal under a fresh generation, and
- *                          resume ingest into the recovered store —
- *                          composes with --crash-at for a second cut
  *   --ip=<addr|cidr>       (query/svc) AND a typed address predicate
  *                          onto the query (incident-response tier,
  *                          DESIGN.md §15); e.g. --ip=10.0.0.0/8
@@ -61,12 +47,6 @@
  *   mithril_cli ingest /tmp/spirit.log /tmp/spirit.img
  *   mithril_cli query /tmp/spirit.img "error & !timeout" \
  *       --metrics-out=/tmp/m.json --trace-out=/tmp/t.json
- *
- * Crash drill (two generations):
- *   mithril_cli ingest /tmp/spirit.log /tmp/crash.img --crash-at=7
- *   mithril_cli query /tmp/crash.img "error" --recover
- *   mithril_cli ingest /tmp/more.log /tmp/crash.img --recover
- *   mithril_cli query /tmp/crash.img "error"
  */
 #include <cstdio>
 #include <cstring>
@@ -142,8 +122,6 @@ std::string g_flag_ip;
 std::string g_flag_id;
 std::string g_flag_window;
 bool g_no_typed_index = false;
-uint64_t g_crash_at = 0;
-bool g_recover = false;
 uint64_t g_checkpoint_every = 0;
 size_t g_shards = 4;
 size_t g_threads = 4;
@@ -171,16 +149,10 @@ usage()
                  "       --shape=steady|bursty|diurnal --duration=<s>\n"
                  "       --seed=<n> --qps=<n>  (soak) arrival "
                  "schedule\n"
-                 "       --fault-plan=<spec>   e.g. "
+                 "       --fault-plan=<spec>   (query/svc) e.g. "
                  "\"seed=3,ber=1e-6,timeout=0.01\"\n"
-                 "       --crash-at=<N>        (ingest) power cut on "
-                 "the Nth page program\n"
                  "       --checkpoint-every=<N> (ingest/svc/soak) "
                  "checkpoint per N data pages\n"
-                 "       --recover             (query/stat) mount a "
-                 "raw crash image;\n"
-                 "                             (ingest) recover, "
-                 "reopen, resume ingest\n"
                  "       --ip=<addr|cidr> --id=<hex> "
                  "--window=<t0>,<t1>\n"
                  "                             (query/svc) AND typed "
@@ -250,45 +222,6 @@ cmdGenerate(const std::string &dataset, const std::string &mb,
     return 0;
 }
 
-/** Mounts an image: journal-replay recovery (--recover) or a clean
- *  host-image load. Emits the crash_recovery BENCH_JSON record so the
- *  recovery cost is tracked across PRs. */
-Status
-mountImage(core::MithriLog *system, const std::string &img_path)
-{
-    if (!g_recover) {
-        return system->loadImage(img_path);
-    }
-    WallTimer timer;
-    Status st = system->recover(img_path);
-    if (!st.isOk()) {
-        return st;
-    }
-    obs::MetricsRegistry &m = system->metrics();
-    // format() mints generation 1 and each reopen() the next one.
-    uint64_t generation = system->recoveredGeneration();
-    obs::JsonRecord("crash_recovery")
-        .field("wall_seconds", timer.seconds())
-        .field("modeled_ps",
-               m.counter("recovery.modeled_ps").value())
-        .field("lines_recovered",
-               m.counter("recovery.lines_recovered").value())
-        .field("pages_committed",
-               m.counter("recovery.pages_committed").value())
-        .field("pages_discarded",
-               m.counter("recovery.pages_discarded").value())
-        .field("records_replayed",
-               m.counter("recovery.records_replayed").value())
-        .field("snapshot_records", system->recoveredSnapshotRecords())
-        .field("chain_records", system->recoveredChainRecords())
-        .field("pages_swept",
-               m.counter("recovery.pages_swept").value())
-        .field("generation", generation)
-        .field("reopens", generation > 0 ? generation - 1 : 0)
-        .emit();
-    return Status::ok();
-}
-
 int
 cmdIngest(const std::string &log_path, const std::string &img_path)
 {
@@ -300,68 +233,10 @@ cmdIngest(const std::string &log_path, const std::string &img_path)
     mc.checkpoint_every_pages = g_checkpoint_every;
     mc.use_typed_index = !g_no_typed_index;
     core::MithriLog system(mc);
-    if (g_recover) {
-        // Resume-after-crash: <out.img> is an existing raw crash
-        // image. Replay its longest clean prefix, then fall through to
-        // normal ingest — reopen() below re-opens the journal under a
-        // fresh generation.
-        Status st = mountImage(&system, img_path);
-        if (!st.isOk()) {
-            std::fprintf(stderr, "recover: %s\n", st.toString().c_str());
-            return 1;
-        }
-    }
-    // The write-side plan must attach *before* ingest so page programs
-    // and the --crash-at power cut hit the durable commit protocol —
-    // but *after* recovery, which replays the previous life's pages
-    // unfaulted. reopen()'s own programs are the next write draws past
-    // write_base: one per 145 surviving pages (the snapshot), then the
-    // chain head, then the superblock.
-    std::unique_ptr<fault::FaultPlan> plan;
-    if (!g_fault_spec.empty() || g_crash_at > 0) {
-        fault::FaultPlanConfig fc;
-        Status ps = fault::FaultPlan::parse(g_fault_spec, &fc);
-        if (!ps.isOk()) {
-            std::fprintf(stderr, "fault-plan: %s\n",
-                         ps.toString().c_str());
-            return 2;
-        }
-        if (g_crash_at > 0) {
-            fc.power_cut_after_writes = g_crash_at;
-        }
-        plan = std::make_unique<fault::FaultPlan>(fc);
-        system.ssd().attachFaultPlan(plan.get());
-    }
     WallTimer timer;
-    Status st = Status::ok();
-    if (g_recover) {
-        st = system.reopen();
-    }
-    if (st.isOk()) {
-        st = system.ingestText(text);
-    }
+    Status st = system.ingestText(text);
     if (st.isOk()) {
         st = system.seal();
-    }
-    if (st.code() == StatusCode::kUnavailable) {
-        // Power cut mid-ingest: dump the dead device's NAND so recovery
-        // can be exercised, and report the acknowledged durable prefix.
-        Status dump = system.saveDeviceImage(img_path);
-        if (!dump.isOk()) {
-            std::fprintf(stderr, "device dump: %s\n",
-                         dump.toString().c_str());
-            return 1;
-        }
-        std::printf("crash: acknowledged=%llu\n",
-                    static_cast<unsigned long long>(
-                        system.durableLineCount()));
-        obs::JsonRecord("cli_crash")
-            .field("cut_after", g_crash_at)
-            .field("acknowledged_lines", system.durableLineCount())
-            .field("device_pages", system.ssd().store().pageCount())
-            .field("generation", system.journalGeneration())
-            .emit();
-        return g_obs.write(system);
     }
     if (!st.isOk()) {
         std::fprintf(stderr, "ingest: %s\n", st.toString().c_str());
@@ -415,7 +290,7 @@ cmdQuery(const std::string &img_path, const std::string &query_text)
     mc.use_typed_index = !g_no_typed_index;
     core::MithriLog system(mc);
     std::string effective = withTypedFlags(query_text);
-    Status st = mountImage(&system, img_path);
+    Status st = system.loadImage(img_path);
     if (!st.isOk()) {
         std::fprintf(stderr, "load: %s\n", st.toString().c_str());
         return 1;
@@ -431,7 +306,7 @@ cmdQuery(const std::string &img_path, const std::string &query_text)
                          st.toString().c_str());
             return 2;
         }
-        plan = std::make_unique<fault::FaultPlan>(fc);
+        plan = std::make_unique<fault::FaultPlan>(fc, &system.metrics());
         system.ssd().attachFaultPlan(plan.get());
     }
     core::QueryResult r;
@@ -673,7 +548,7 @@ cmdTemplates(const std::string &log_path, size_t show)
 /** Offline storage maintenance on a saved image: load, run one
  *  checkpoint (journal truncation + segment GC), save back in place.
  *  Works on sealed ingest images — the seal survives via the
- *  superblock flag — and bounds what a later --recover mount replays. */
+ *  superblock flag — and bounds what a later recover() replays. */
 int
 cmdCheckpoint(const std::string &img_path)
 {
@@ -724,7 +599,7 @@ int
 cmdStat(const std::string &img_path)
 {
     core::MithriLog system;
-    Status st = mountImage(&system, img_path);
+    Status st = system.loadImage(img_path);
     if (!st.isOk()) {
         std::fprintf(stderr, "load: %s\n", st.toString().c_str());
         return 1;
@@ -764,11 +639,6 @@ main(int argc, char **argv)
             g_obs.trace_path = a.substr(strlen("--trace-out="));
         } else if (a.rfind("--fault-plan=", 0) == 0) {
             g_fault_spec = a.substr(strlen("--fault-plan="));
-        } else if (a.rfind("--crash-at=", 0) == 0) {
-            g_crash_at = std::stoull(
-                std::string(a.substr(strlen("--crash-at="))));
-        } else if (a == "--recover") {
-            g_recover = true;
         } else if (a.rfind("--checkpoint-every=", 0) == 0) {
             g_checkpoint_every = std::stoull(
                 std::string(a.substr(strlen("--checkpoint-every="))));

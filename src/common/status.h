@@ -45,7 +45,7 @@ const char *statusCodeName(StatusCode code);
  * The class itself is [[nodiscard]]: any call returning a Status by value
  * must consume it (assign, MITHRIL_RETURN_IF_ERROR, or an explicit
  * (void) cast with a justification comment). Enforced tree-wide by
- * -Werror in the werror/tidy/ubsan presets and by tools/mithril_lint.py.
+ * -Werror in the werror/tidy/tsa presets and by tools/mithril_lint.py.
  */
 class [[nodiscard]] Status
 {

@@ -78,9 +78,7 @@ MithriLog::ingestLine(std::string_view line)
             "device lost power; recover() the image on a fresh system");
     }
     if (line.size() > compress::LzahPageEncoder::kMaxLineBytes) {
-        if (!config_.truncate_long_lines) {
-            return Status::invalidArgument("line exceeds page limit");
-        }
+        // Longer than LZAH's page limit: kept truncated, and counted.
         line = line.substr(0, compress::LzahPageEncoder::kMaxLineBytes);
         ++truncated_lines_;
         counters_.lines_truncated->add();
@@ -1033,15 +1031,21 @@ MithriLog::loadImage(const std::string &path)
     std::fclose(f);
 
     size_t pos = 0;
-    auto need = [&](size_t k) { return pos + k <= blob.size(); };
     auto get64 = [&]() { uint64_t v = getLe<uint64_t>(blob.data() + pos);
                          pos += 8; return v; };
-    if (!need(8) || getLe<uint32_t>(blob.data()) != kImageMagic ||
+    // True when @p count items of @p size bytes, then the 8-byte field
+    // after them, fit in the unread bytes. Division, not a product: a
+    // count read from the file must not wrap the check.
+    auto fits = [&](uint64_t count, size_t size) {
+        size_t left = blob.size() - pos;
+        return left >= 8 && count <= (left - 8) / size;
+    };
+    if (blob.size() < 8 || getLe<uint32_t>(blob.data()) != kImageMagic ||
         getLe<uint32_t>(blob.data() + 4) != kImageVersion) {
         return Status::corruptData("bad image header");
     }
     pos = 8;
-    if (!need(7 * 8)) {
+    if (!fits(6, 8)) {
         return Status::corruptData("image truncated");
     }
     lines_ = get64();
@@ -1051,7 +1055,7 @@ MithriLog::loadImage(const std::string &path)
     committed_raw_ = get64();
     sealed_ = get64() != 0;
     uint64_t n_data_pages = get64();
-    if (!need(n_data_pages * 8 + 8)) {
+    if (!fits(n_data_pages, 8)) {
         return Status::corruptData("image data-page list truncated");
     }
     data_pages_.clear();
@@ -1059,7 +1063,7 @@ MithriLog::loadImage(const std::string &path)
         data_pages_.push_back(get64());
     }
     uint64_t n_freed = get64();
-    if (!need(n_freed * 8 + 8)) {
+    if (!fits(n_freed, 8)) {
         return Status::corruptData("image free list truncated");
     }
     std::vector<PageId> freed;
@@ -1068,13 +1072,13 @@ MithriLog::loadImage(const std::string &path)
         freed.push_back(get64());
     }
     uint64_t index_size = get64();
-    if (!need(index_size + 8)) {
+    if (!fits(index_size, 1)) {
         return Status::corruptData("image index blob truncated");
     }
     std::span<const uint8_t> index_blob(blob.data() + pos, index_size);
     pos += index_size;
     uint64_t typed_size = get64();
-    if (!need(typed_size + 8)) {
+    if (!fits(typed_size, 1)) {
         return Status::corruptData("image typed blob truncated");
     }
     std::span<const uint8_t> typed_blob(blob.data() + pos, typed_size);
@@ -1084,13 +1088,13 @@ MithriLog::loadImage(const std::string &path)
     // is variable-length (committed table + page lists): the prefix
     // says how much to skip now and consume later.
     uint64_t cursor_bytes = get64();
-    if (!need(cursor_bytes + 8)) {
+    if (!fits(cursor_bytes, 1)) {
         return Status::corruptData("image journal cursor truncated");
     }
     size_t cursor_pos = pos;
     pos += cursor_bytes;
     uint64_t pages = get64();
-    if (!need(pages * storage::kPageSize)) {
+    if (pages > (blob.size() - pos) / storage::kPageSize) {
         return Status::corruptData("image pages truncated");
     }
     for (uint64_t p = 0; p < pages; ++p) {
@@ -1178,7 +1182,7 @@ MithriLog::recover(const std::string &path)
         return Status::corruptData("bad device image header");
     }
     uint64_t pages = getLe<uint64_t>(blob.data() + 8);
-    if (blob.size() < 16 + pages * storage::kPageSize) {
+    if (pages > (blob.size() - 16) / storage::kPageSize) {
         return Status::corruptData("device image pages truncated");
     }
     // Host-side restore of the NAND contents: not metered device

@@ -62,9 +62,6 @@ struct MithriLogConfig {
      * the data pages (the bench_typed_query baseline configuration).
      */
     bool use_typed_index = true;
-    /** Lines longer than LZAH's page limit are truncated (with the
-     *  `core.lines_truncated` counter) instead of rejected. */
-    bool truncate_long_lines = true;
     /**
      * Background checkpoint policy: run checkpoint() after every N
      * sealed data pages (0 disables). The trigger sits just past the

@@ -74,7 +74,9 @@ parseU64(std::string_view key, std::string_view value, uint64_t *out)
 
 } // namespace
 
-FaultPlan::FaultPlan(FaultPlanConfig config) : config_(config)
+FaultPlan::FaultPlan(FaultPlanConfig config,
+                     obs::MetricsRegistry *metrics)
+    : config_(config)
 {
     MITHRIL_ASSERT(config_.bit_error_rate >= 0 &&
                    config_.bit_error_rate <= 1);
@@ -91,6 +93,17 @@ FaultPlan::FaultPlan(FaultPlanConfig config) : config_(config)
     // cut_after= can address ordinals of a multi-generation history
     // (see FaultPlanConfig::write_draw_base).
     counters_.write_draws = config_.write_draw_base;
+
+    obs::MetricsRegistry &m = obs::registryOrOwn(metrics, &owned_metrics_);
+    obs_[kObsDraws] = &m.counter("fault.draws");
+    obs_[kObsTimeouts] = &m.counter("fault.timeouts");
+    obs_[kObsUncorrectable] = &m.counter("fault.uncorrectable");
+    obs_[kObsBitsFlipped] = &m.counter("fault.bits_flipped");
+    obs_[kObsBlocksGarbled] = &m.counter("fault.blocks_garbled");
+    obs_[kObsWriteDraws] = &m.counter("fault.write_draws");
+    obs_[kObsTornWrites] = &m.counter("fault.torn_writes");
+    obs_[kObsDroppedWrites] = &m.counter("fault.dropped_writes");
+    obs_[kObsPowerCuts] = &m.counter("fault.power_cuts");
 }
 
 Status
@@ -159,31 +172,12 @@ FaultPlan::parse(std::string_view spec, FaultPlanConfig *out)
     return Status::ok();
 }
 
-void
-FaultPlan::bindMetrics(obs::MetricsRegistry *metrics)
-{
-    if (metrics == nullptr) {
-        return;
-    }
-    obs_[kObsDraws] = &metrics->counter("fault.draws");
-    obs_[kObsTimeouts] = &metrics->counter("fault.timeouts");
-    obs_[kObsUncorrectable] = &metrics->counter("fault.uncorrectable");
-    obs_[kObsBitsFlipped] = &metrics->counter("fault.bits_flipped");
-    obs_[kObsBlocksGarbled] = &metrics->counter("fault.blocks_garbled");
-    obs_[kObsWriteDraws] = &metrics->counter("fault.write_draws");
-    obs_[kObsTornWrites] = &metrics->counter("fault.torn_writes");
-    obs_[kObsDroppedWrites] = &metrics->counter("fault.dropped_writes");
-    obs_[kObsPowerCuts] = &metrics->counter("fault.power_cuts");
-}
-
 ReadFault
 FaultPlan::drawRead(uint64_t page_id, size_t page_bytes)
 {
     ReadFault fault;
     ++counters_.draws;
-    if (obs_[kObsDraws] != nullptr) {
-        obs_[kObsDraws]->add();
-    }
+    obs_[kObsDraws]->add();
     // One independent stream per (plan seed, page, draw ordinal): the
     // same plan replays the same faults in the same order, but a retry
     // of the same page gets a fresh draw.
@@ -192,18 +186,14 @@ FaultPlan::drawRead(uint64_t page_id, size_t page_bytes)
     if (config_.timeout_rate > 0 && rng.chance(config_.timeout_rate)) {
         fault.timeout = true;
         ++counters_.timeouts;
-        if (obs_[kObsTimeouts] != nullptr) {
-            obs_[kObsTimeouts]->add();
-        }
+        obs_[kObsTimeouts]->add();
         return fault;
     }
     if (config_.uncorrectable_rate > 0 &&
         rng.chance(config_.uncorrectable_rate)) {
         fault.uncorrectable = true;
         ++counters_.uncorrectable;
-        if (obs_[kObsUncorrectable] != nullptr) {
-            obs_[kObsUncorrectable]->add();
-        }
+        obs_[kObsUncorrectable]->add();
         return fault;
     }
     if (config_.block_garble_rate > 0 &&
@@ -214,9 +204,7 @@ FaultPlan::drawRead(uint64_t page_id, size_t page_bytes)
                                                            : 1));
         fault.garble_seed = rng.next();
         ++counters_.blocks_garbled;
-        if (obs_[kObsBlocksGarbled] != nullptr) {
-            obs_[kObsBlocksGarbled]->add();
-        }
+        obs_[kObsBlocksGarbled]->add();
     }
     if (config_.bit_error_rate > 0) {
         uint64_t bits = static_cast<uint64_t>(page_bytes) * 8;
@@ -226,10 +214,7 @@ FaultPlan::drawRead(uint64_t page_id, size_t page_bytes)
             pos += 1 + geometricGap(rng, config_.bit_error_rate);
         }
         counters_.bits_flipped += fault.flipped_bits.size();
-        if (obs_[kObsBitsFlipped] != nullptr &&
-            !fault.flipped_bits.empty()) {
-            obs_[kObsBitsFlipped]->add(fault.flipped_bits.size());
-        }
+        obs_[kObsBitsFlipped]->add(fault.flipped_bits.size());
     }
     return fault;
 }
@@ -239,9 +224,7 @@ FaultPlan::drawWrite(uint64_t page_id, size_t page_bytes)
 {
     WriteFault fault;
     ++counters_.write_draws;
-    if (obs_[kObsWriteDraws] != nullptr) {
-        obs_[kObsWriteDraws]->add();
-    }
+    obs_[kObsWriteDraws]->add();
     // Independent stream per (plan seed, page, write ordinal); the
     // kWriteStream separator keeps it disjoint from read draws so the
     // same plan replays the same crash point regardless of how many
@@ -255,9 +238,7 @@ FaultPlan::drawWrite(uint64_t page_id, size_t page_bytes)
         fault.persisted_bytes =
             static_cast<uint32_t>(rng.below(page_bytes + 1));
         ++counters_.power_cuts;
-        if (obs_[kObsPowerCuts] != nullptr) {
-            obs_[kObsPowerCuts]->add();
-        }
+        obs_[kObsPowerCuts]->add();
         return fault;
     }
     if (config_.torn_write_rate > 0 &&
@@ -266,18 +247,14 @@ FaultPlan::drawWrite(uint64_t page_id, size_t page_bytes)
         fault.persisted_bytes =
             static_cast<uint32_t>(rng.below(page_bytes + 1));
         ++counters_.torn_writes;
-        if (obs_[kObsTornWrites] != nullptr) {
-            obs_[kObsTornWrites]->add();
-        }
+        obs_[kObsTornWrites]->add();
         return fault;
     }
     if (config_.dropped_write_rate > 0 &&
         rng.chance(config_.dropped_write_rate)) {
         fault.dropped = true;
         ++counters_.dropped_writes;
-        if (obs_[kObsDroppedWrites] != nullptr) {
-            obs_[kObsDroppedWrites]->add();
-        }
+        obs_[kObsDroppedWrites]->add();
     }
     return fault;
 }

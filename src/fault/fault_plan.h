@@ -44,6 +44,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -127,7 +128,12 @@ struct WriteFault {
     bool damages() const { return torn || dropped || power_cut; }
 };
 
-/** Deterministic tallies of every fault dealt; mirrors fault.* metrics. */
+/**
+ * Deterministic tallies of every fault one plan dealt. The `fault.*`
+ * metrics mirror them, but a registry may be shared by several plans
+ * (one per LogService shard); these are the plan's own, and
+ * write_draws is the ordinal that picks the power-cut program.
+ */
 struct FaultCounters {
     uint64_t draws = 0;
     uint64_t timeouts = 0;
@@ -151,7 +157,13 @@ struct FaultCounters {
 class FaultPlan
 {
   public:
-    explicit FaultPlan(FaultPlanConfig config);
+    /**
+     * Counts its `fault.*` metrics into @p metrics (or, when null, a
+     * registry of its own). A caller that wants them next to a system's
+     * `ssd.*` counters passes that system's registry.
+     */
+    explicit FaultPlan(FaultPlanConfig config,
+                       obs::MetricsRegistry *metrics = nullptr);
 
     /**
      * Parses a plan spec like
@@ -165,9 +177,6 @@ class FaultPlan
 
     const FaultPlanConfig &config() const { return config_; }
     const FaultCounters &counters() const { return counters_; }
-
-    /** Joins the unified metric namespace as `fault.*` counters. */
-    void bindMetrics(obs::MetricsRegistry *metrics);
 
     /**
      * Draws the fault outcome for one read attempt of @p page_id with
@@ -192,6 +201,7 @@ class FaultPlan
   private:
     FaultPlanConfig config_;
     FaultCounters counters_;
+    std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
     obs::Counter *obs_[9] = {};
 };
 

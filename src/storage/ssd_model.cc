@@ -26,15 +26,6 @@ SsdModel::SsdModel(SsdConfig config, obs::MetricsRegistry *metrics)
     counters_.batch_pages = &metrics_->quantileHistogram("ssd.batch_pages");
 }
 
-void
-SsdModel::attachFaultPlan(fault::FaultPlan *plan)
-{
-    fault_plan_ = plan;
-    if (fault_plan_ != nullptr) {
-        fault_plan_->bindMetrics(metrics_);
-    }
-}
-
 double
 SsdModel::bandwidth(Link link) const
 {

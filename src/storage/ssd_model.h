@@ -103,8 +103,9 @@ class SsdModel
     void resetClock() { clock_ = SimTime(); }
 
     /**
-     * Attaches a fault plan (non-owning; may be null to detach) and
-     * binds it to the model's registry.
+     * Attaches a fault plan (non-owning; may be null to detach). The
+     * plan counts `fault.*` into the registry it was built with, not
+     * this model's: build it with the same registry to see both.
      *
      * With a plan attached every data-moving read consults it: timeouts
      * and ECC-uncorrectable outcomes are retried up to the plan's
@@ -114,7 +115,7 @@ class SsdModel
      * CRC framing to catch. With no plan the data path is exactly the
      * unfaulted code.
      */
-    void attachFaultPlan(fault::FaultPlan *plan);
+    void attachFaultPlan(fault::FaultPlan *plan) { fault_plan_ = plan; }
 
     /** Currently attached fault plan, or null. */
     fault::FaultPlan *faultPlan() const { return fault_plan_; }

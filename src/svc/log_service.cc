@@ -93,7 +93,8 @@ LogService::LogService(LogServiceConfig config)
             // depend on shard j's traffic.
             fault::FaultPlanConfig fc = fault_config;
             fc.seed ^= mix64(static_cast<uint64_t>(i) + 1);
-            shard->fault = std::make_unique<fault::FaultPlan>(fc);
+            shard->fault =
+                std::make_unique<fault::FaultPlan>(fc, metrics_);
             MutexLock log_lock(shard->log_mu);
             shard->log->ssd().attachFaultPlan(shard->fault.get());
         }

@@ -384,7 +384,7 @@ TypedIndex::deserialize(std::span<const uint8_t> in)
         }
         uint64_t pending = getLe<uint64_t>(&in[pos]);
         pos += 8;
-        if (!need(pending * 8)) {
+        if (pending > (in.size() - pos) / 8) {
             return fail();
         }
         entry.pending.reserve(pending);
@@ -397,7 +397,7 @@ TypedIndex::deserialize(std::span<const uint8_t> in)
         }
         uint64_t pages = getLe<uint64_t>(&in[pos]);
         pos += 8;
-        if (!need(pages * 8)) {
+        if (pages > (in.size() - pos) / 8) {
             return fail();
         }
         entry.pages.reserve(pages);
@@ -412,7 +412,7 @@ TypedIndex::deserialize(std::span<const uint8_t> in)
     }
     uint64_t dir_count = getLe<uint64_t>(&in[pos]);
     pos += 8;
-    if (!need(dir_count * 24)) {
+    if (dir_count > (in.size() - pos) / 24) {
         return fail();
     }
     std::vector<PageSpan> dir;

@@ -1,9 +1,8 @@
 /**
  * @file
  * Storage-lifecycle contract at the MithriLog API level (DESIGN.md
- * §14) — the in-process counterpart of `crash_matrix.sh --checkpoint`.
- * checkpoint() collapses the journal chain into a snapshot and runs
- * the segment cleaner; the properties pinned here:
+ * §14). checkpoint() collapses the journal chain into a snapshot and
+ * runs the segment cleaner; the properties pinned here:
  *
  *   bounded replay:  after a checkpoint, a mount replays the snapshot
  *                    plus only the post-checkpoint chain tail — the
@@ -12,8 +11,9 @@
  *   preservation:    committed lines, query results, and the durable
  *                    ack point are bit-identical across any number of
  *                    checkpoints (including back-to-back ones);
- *   crash safety:    a power cut anywhere inside the protocol loses
- *                    nothing acknowledged — recovery lands on the pre-
+ *   crash safety:    a power cut at any write of an ingest that
+ *                    checkpoints every page keeps the crash contract
+ *                    (crash_contract.h) — recovery lands on the pre-
  *                    or post-checkpoint superblock, never a mix;
  *   reclamation:     drained segments return to the allocator, so the
  *                    physical footprint does not grow monotonically;
@@ -22,12 +22,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "core/mithrilog.h"
-#include "fault/fault_plan.h"
+#include "crash_contract.h"
 #include "query/parser.h"
 
 namespace mithril::core {
@@ -64,26 +63,8 @@ ingestAll(MithriLog *log, const std::vector<std::string> &lines)
     }
 }
 
-class CheckpointTest : public ::testing::Test
+class CheckpointTest : public crash::CutHarness
 {
-  protected:
-    void
-    SetUp() override
-    {
-        path_ = ::testing::TempDir() + "mithrilog_ckpt_" +
-                ::testing::UnitTest::GetInstance()
-                    ->current_test_info()
-                    ->name() +
-                ".img";
-    }
-
-    void
-    TearDown() override
-    {
-        std::remove(path_.c_str());
-    }
-
-    std::string path_;
 };
 
 TEST_F(CheckpointTest, ReplayTailStrictlyDropsAcrossCheckpoints)
@@ -277,8 +258,9 @@ TEST_F(CheckpointTest, HostImageRoundTripsACheckpointedStore)
     uint64_t snapshot = log.journalSnapshotRecords();
     ASSERT_TRUE(log.saveImage(path_).isOk());
 
-    // The v5 image carries the freed-slot list and the journal cursor:
-    // the reloaded store knows its snapshot and can checkpoint again.
+    // The host image carries the freed-slot list and the journal
+    // cursor: the reloaded store knows its snapshot and can checkpoint
+    // again.
     MithriLog loaded;
     ASSERT_TRUE(loaded.loadImage(path_).isOk());
     EXPECT_EQ(loaded.lineCount(), lines.size());
@@ -295,61 +277,11 @@ TEST_F(CheckpointTest, HostImageRoundTripsACheckpointedStore)
 
 TEST_F(CheckpointTest, CutInsideCheckpointLosesNothingAcknowledged)
 {
-    // Sweep cut ordinals across an ingest whose per-page checkpoints
-    // dominate the write stream: most cuts land inside a snapshot
-    // write, an epoch bump, or a migration. Whatever the landing spot,
-    // recovery must hold the durability + prefix contract.
-    std::vector<std::string> lines = corpus(300);
-    bool any_fired = false;
-    for (uint64_t cut = 1; cut <= 41; cut += 4) {
-        fault::FaultPlanConfig fc;
-        fc.seed = 1;
-        fc.power_cut_after_writes = cut;
-        fault::FaultPlan plan(fc);
-
-        MithriLogConfig config;
-        config.checkpoint_every_pages = 1;
-        MithriLog log(config);
-        log.ssd().attachFaultPlan(&plan);
-        Status st = Status::ok();
-        for (const std::string &line : lines) {
-            st = log.ingestLine(line);
-            if (!st.isOk()) {
-                break;
-            }
-        }
-        if (st.isOk()) {
-            st = log.flush();
-        }
-        if (st.isOk()) {
-            continue; // cut point past this run's last program
-        }
-        ASSERT_EQ(st.code(), StatusCode::kUnavailable)
-            << st.toString();
-        any_fired = true;
-        uint64_t acknowledged = log.durableLineCount();
-        ASSERT_TRUE(log.saveDeviceImage(path_).isOk());
-
-        MithriLog mounted;
-        ASSERT_TRUE(mounted.recover(path_).isOk()) << "cut=" << cut;
-        uint64_t recovered = mounted.lineCount();
-        EXPECT_GE(recovered, acknowledged) << "cut=" << cut;
-        EXPECT_LE(recovered, lines.size()) << "cut=" << cut;
-        // Prefix boundary pins exactly: seq(R-1) in, seq(R) out.
-        if (recovered > 0) {
-            QueryResult last;
-            std::string q = "seq" + std::to_string(recovered - 1);
-            ASSERT_TRUE(mounted.run(mustParse(q), &last).isOk());
-            EXPECT_EQ(last.matched_lines, 1u) << q << " cut=" << cut;
-        }
-        if (recovered < lines.size()) {
-            QueryResult past;
-            std::string q = "seq" + std::to_string(recovered);
-            ASSERT_TRUE(mounted.run(mustParse(q), &past).isOk());
-            EXPECT_EQ(past.matched_lines, 0u) << q << " cut=" << cut;
-        }
-    }
-    EXPECT_TRUE(any_fired);
+    // Per-page checkpoints dominate the write stream, so most cuts land
+    // inside a snapshot write, an epoch bump or a migration.
+    MithriLogConfig config;
+    config.checkpoint_every_pages = 1;
+    sweepSingleLife(config);
 }
 
 } // namespace

@@ -220,15 +220,6 @@ TEST(MithriLogTest, LongLinesTruncatedWithCounter)
     EXPECT_EQ(system.metrics().counterValue("core.lines_ingested"), 1u);
 }
 
-TEST(MithriLogTest, LongLineRejectedWhenTruncationDisabled)
-{
-    MithriLogConfig cfg;
-    cfg.truncate_long_lines = false;
-    MithriLog system(cfg);
-    std::string giant(10000, 'x');
-    EXPECT_FALSE(system.ingestLine(giant).isOk());
-}
-
 TEST(MithriLogTest, EmptyBatchRejected)
 {
     MithriLog system;

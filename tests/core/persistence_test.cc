@@ -6,11 +6,13 @@
  */
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
+#include "common/bits.h"
 #include "core/mithrilog.h"
 #include "loggen/log_generator.h"
 #include "query/parser.h"
@@ -25,6 +27,59 @@ mustParse(std::string_view text)
     Status st = query::parseQuery(text, &q);
     EXPECT_TRUE(st.isOk()) << st.toString();
     return q;
+}
+
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+uint64_t
+countAt(const std::string &image, size_t offset)
+{
+    return getLe<uint64_t>(asByteSpan(image).data() + offset);
+}
+
+/** @p image with the 8-byte little-endian count at @p offset forged. */
+std::string
+withCount(std::string image, size_t offset, uint64_t count)
+{
+    for (size_t i = 0; i < 8; ++i) {
+        image[offset + i] = static_cast<char>(count >> (8 * i));
+    }
+    return image;
+}
+
+/** Offset of the page count in a device image (after magic, version). */
+constexpr size_t kDevicePageCount = 8;
+
+/** Offsets of the count fields of a host image, in the order
+ *  saveImage() writes them; each list or blob follows its count. */
+struct HostImageCounts {
+    size_t data_pages, freed, index_blob, typed_blob, cursor, pages;
+};
+
+HostImageCounts
+hostImageCounts(const std::string &image)
+{
+    HostImageCounts at{};
+    at.data_pages = 8 + 6 * 8;  // magic, version, six scalar fields
+    at.freed = at.data_pages + 8 + 8 * countAt(image, at.data_pages);
+    at.index_blob = at.freed + 8 + 8 * countAt(image, at.freed);
+    at.typed_blob = at.index_blob + 8 + countAt(image, at.index_blob);
+    at.cursor = at.typed_blob + 8 + countAt(image, at.typed_blob);
+    at.pages = at.cursor + 8 + countAt(image, at.cursor);
+    return at;
 }
 
 /** Temp file path cleaned up by each test. */
@@ -113,18 +168,46 @@ TEST_F(PersistenceTest, TruncatedImageRejected)
     MithriLog original;
     ASSERT_TRUE(original.ingestText("some content here\n").isOk());
     ASSERT_TRUE(original.saveImage(path_).isOk());
+    const std::string host = readBytes(path_);
+    ASSERT_TRUE(original.saveDeviceImage(path_).isOk());
+    const std::string device = readBytes(path_);
 
-    // Truncate the file to half.
-    std::FILE *f = std::fopen(path_.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 0, SEEK_END);
-    long size = std::ftell(f);
-    std::fclose(f);
-    ASSERT_EQ(truncate(path_.c_str(), size / 2), 0);
-
-    MithriLog restored;
-    EXPECT_EQ(restored.loadImage(path_).code(),
-              StatusCode::kCorruptData);
+    // One row per count field of both image formats. Each forged count
+    // times its element size wraps 64 bits to a small number, so a
+    // loader that multiplies before it compares reads (or reserves)
+    // far past the end of the file.
+    const HostImageCounts at = hostImageCounts(host);
+    constexpr uint64_t kWrapsTimes8 = 1ull << 61;
+    constexpr uint64_t kWrapsPlus8 = ~0ull - 7;
+    constexpr uint64_t kWrapsTimesPage = (1ull << 52) + 1;
+    struct Row {
+        const char *what;
+        bool device;
+        std::string image;
+    };
+    const Row rows[] = {
+        {"host image cut in half", false, host.substr(0, host.size() / 2)},
+        {"data-page count", false,
+         withCount(host, at.data_pages, kWrapsTimes8)},
+        {"freed-id count", false, withCount(host, at.freed, kWrapsTimes8)},
+        {"index-blob size", false,
+         withCount(host, at.index_blob, kWrapsPlus8)},
+        {"typed-blob size", false,
+         withCount(host, at.typed_blob, kWrapsPlus8)},
+        {"journal-cursor size", false,
+         withCount(host, at.cursor, kWrapsPlus8)},
+        {"page count", false, withCount(host, at.pages, kWrapsTimesPage)},
+        {"device page count", true,
+         withCount(device, kDevicePageCount, kWrapsTimesPage)},
+    };
+    for (const Row &row : rows) {
+        writeBytes(path_, row.image);
+        MithriLog restored;
+        Status st = row.device ? restored.recover(path_)
+                               : restored.loadImage(path_);
+        EXPECT_EQ(st.code(), StatusCode::kCorruptData)
+            << row.what << ": " << st.toString();
+    }
 }
 
 TEST_F(PersistenceTest, ConfigMismatchRejected)

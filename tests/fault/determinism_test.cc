@@ -10,10 +10,12 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/mithrilog.h"
 #include "fault/fault_plan.h"
+#include "loggen/log_generator.h"
 #include "query/parser.h"
 
 namespace mithril::core {
@@ -171,6 +173,72 @@ TEST(FaultDeterminismTest, QueriesStayCorrectUnderAcceptanceRates)
             << text;
     }
     faulted_system.ssd().attachFaultPlan(nullptr);
+
+    // The fault table: silent corruption, command timeouts and a mixed
+    // plan over a sealed 2 MB Spirit2 store, for a keyword query and a
+    // typed one (DESIGN.md §15). Every row answers exactly what the
+    // clean run answers, by retries, CRC re-reads or a degraded path.
+    MithriLog store;
+    loggen::LogGenerator gen(loggen::datasetByName("Spirit2"));
+    ASSERT_TRUE(store.ingestText(gen.generate(2 << 20)).isOk());
+    ASSERT_TRUE(store.seal().isOk());
+    const char *corruption = "seed=3,ber=1e-6,garble=0.002";
+    const char *timeout = "seed=5,timeout=0.01";
+    const char *mixed =
+        "seed=7,ber=1e-6,ecc=0.002,timeout=0.01,garble=0.001";
+    const char *typed = "ip:10.0.0.0/8 & error";
+    const std::pair<const char *, const char *> table[] = {
+        {"error", corruption}, {"error", timeout}, {"error", mixed},
+        {typed, corruption},   {typed, mixed},
+    };
+    auto texts = [](const QueryResult &r) {
+        std::vector<std::string> out;
+        for (const accel::KeptLine &line : r.lines) {
+            out.push_back(line.text);
+        }
+        return out;
+    };
+    const obs::MetricsRegistry &metrics = store.metrics();
+    uint64_t injected = 0;
+    for (const auto &[text, spec] : table) {
+        const uint64_t draws = metrics.counterValue("fault.draws");
+        QueryResult clean_r;
+        Status st = store.run(text, &clean_r);
+        ASSERT_TRUE(st.isOk()) << text << ": " << st.toString();
+        EXPECT_GT(clean_r.matched_lines, 0u) << text;
+        // A run with no plan draws nothing.
+        EXPECT_EQ(metrics.counterValue("fault.draws"), draws) << text;
+
+        fault::FaultPlanConfig cfg;
+        ASSERT_TRUE(fault::FaultPlan::parse(spec, &cfg).isOk()) << spec;
+        fault::FaultPlan plan(cfg, &store.metrics());
+        store.ssd().attachFaultPlan(&plan);
+        QueryResult faulted_r;
+        st = store.run(text, &faulted_r);
+        store.ssd().attachFaultPlan(nullptr);
+        ASSERT_TRUE(st.isOk()) << text << " under " << spec << ": "
+                               << st.toString();
+        EXPECT_EQ(faulted_r.matched_lines, clean_r.matched_lines)
+            << text << " under " << spec;
+        EXPECT_EQ(texts(faulted_r), texts(clean_r))
+            << text << " under " << spec;
+        EXPECT_GT(plan.counters().draws, 0u) << text << " under " << spec;
+        injected += plan.counters().timeouts +
+                    plan.counters().uncorrectable +
+                    plan.counters().bits_flipped +
+                    plan.counters().blocks_garbled;
+    }
+    EXPECT_GT(injected, 0u) << "the table injected no fault";
+    EXPECT_GT(metrics.counterValue("core.typed_queries"), 0u)
+        << "the typed query bypassed the typed tier";
+    const obs::MetricsSnapshot snap = metrics.snapshot();
+    for (const char *key :
+         {"fault.timeouts", "fault.uncorrectable", "fault.bits_flipped",
+          "fault.blocks_garbled", "ssd.read_retries",
+          "core.degraded_index_scans", "core.degraded_software_scans",
+          "core.pages_dropped"}) {
+        EXPECT_EQ(snap.counters.count(key), 1u) << key;
+    }
 }
 
 } // namespace

@@ -269,8 +269,7 @@ TEST(FaultPlanTest, WriteMetricsMirrorCounters)
     FaultPlanConfig cfg;
     cfg.seed = 31;
     cfg.torn_write_rate = 1.0;
-    FaultPlan plan(cfg);
-    plan.bindMetrics(&metrics);
+    FaultPlan plan(cfg, &metrics);
     for (uint64_t page = 0; page < 6; ++page) {
         plan.drawWrite(page, kPage);
     }
@@ -284,8 +283,7 @@ TEST(FaultPlanTest, MetricsMirrorCounters)
     FaultPlanConfig cfg;
     cfg.seed = 29;
     cfg.timeout_rate = 1.0;
-    FaultPlan plan(cfg);
-    plan.bindMetrics(&metrics);
+    FaultPlan plan(cfg, &metrics);
     for (uint64_t page = 0; page < 8; ++page) {
         plan.drawRead(page, kPage);
     }

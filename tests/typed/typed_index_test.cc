@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <string>
 #include <vector>
 
+#include "common/bits.h"
 #include "storage/ssd_model.h"
 #include "typed/predicate.h"
 
@@ -161,12 +163,40 @@ TEST(TypedIndexTest, SerializeDeserializeRoundTrip)
     EXPECT_EQ(restored.pageDirectory().size(), 1u);
     EXPECT_EQ(restored.pageDirectory()[0].page, data_page);
 
-    // A corrupt blob reports kCorruptData, never crashes.
+    // A corrupt blob reports kCorruptData, never crashes: one cut in
+    // half, and one per count field forged so that count times element
+    // size wraps 64 bits (a check by product would pass and reserve()
+    // the forged count).
     std::vector<uint8_t> bad(blob.begin(),
                              blob.begin() + blob.size() / 2);
-    TypedIndex victim(&ssd);
-    EXPECT_EQ(victim.deserialize(bad).code(),
-              StatusCode::kCorruptData);
+    const std::vector<uint8_t> header(blob.begin(), blob.begin() + 8);
+    auto forged = [&](std::initializer_list<uint64_t> key_fields,
+                      uint64_t dir_count) {
+        std::vector<uint8_t> out = header;
+        putLe<uint64_t>(out, key_fields.size() == 0 ? 0 : 1);
+        if (key_fields.size() != 0) {
+            out.push_back(0);            // key kind
+            putLe<uint32_t>(out, 0);     // key length
+            for (uint64_t field : key_fields) {
+                putLe<uint64_t>(out, field);
+            }
+        }
+        putLe<uint64_t>(out, dir_count);
+        return out;
+    };
+    constexpr uint64_t kWraps = 1ull << 61;  // x8 and x24 wrap to 0
+    const std::vector<uint8_t> rows[] = {
+        bad,
+        forged({kWraps}, 0),     // pending count
+        forged({0, kWraps}, 0),  // flushed-page count
+        forged({}, kWraps),      // page-directory count
+    };
+    for (const std::vector<uint8_t> &row : rows) {
+        TypedIndex victim(&ssd);
+        EXPECT_EQ(victim.deserialize(row).code(),
+                  StatusCode::kCorruptData)
+            << "blob of " << row.size() << " bytes";
+    }
 }
 
 TEST(TypedIndexTest, CorruptPostingPageReportsIntegrityLost)

@@ -6,12 +6,12 @@
 # Runs, in order (stopping at the first failure):
 #   1. werror build      full tree, -Wall -Wextra -Werror
 #   2. unit + bench tests ctest over the werror build — every ctest
-#      gate: the fault and crash matrices (fault_matrix, crash_matrix,
-#      crash_matrix_mg, crash_matrix_ckpt), the domain lint and its
-#      selftest (lint_domain, lint_selftest), clang-tidy (lint_tidy),
-#      and the thread-safety analysis with its fixtures (lint_tsa,
-#      tsa_fixture_*; the clang-only gates SKIP where clang is not
-#      installed)
+#      gate: the in-process crash sweeps and fault table (core_test,
+#      fault_test), the CLI smoke chain (cli_*), the domain lint and
+#      its selftest (lint_domain, lint_selftest), clang-tidy
+#      (lint_tidy), and the thread-safety analysis with its fixtures
+#      (lint_tsa, tsa_fixture_*; the clang-only gates SKIP where clang
+#      is not installed)
 #   3. tsan tier         the svc-labelled concurrency tests under
 #      -fsanitize=thread (skipped where the toolchain lacks TSan)
 #   4. soak SLO smoke    a short deterministic open-loop soak run whose
@@ -21,8 +21,9 @@
 #      typed_query records must repeat byte-identically, carry the
 #      schema keys, and show the typed tier reading fewer device bytes
 #      than the full scan for byte-identical match sets
-#   6. ubsan build+test  full tree under -fsanitize=undefined
-#      (skipped with --fast)
+#   6. asan build+test   full tree under -fsanitize=address,undefined:
+#      out-of-bounds reads and UB both abort the run (skipped with
+#      --fast)
 #
 # This is the command ROADMAP's tier-1 verify can grow into: a tree
 # that passes ci_check.sh passes every gate a future PR is held to.
@@ -98,12 +99,12 @@ build-werror/bench/json_check "$TYPED_DIR/records_a.json" \
 echo "typed-query smoke: deterministic, schema-clean, bytes reduced"
 
 if [ "$FAST" -eq 1 ]; then
-    step "ubsan tier skipped (--fast)"
+    step "asan tier skipped (--fast)"
 else
-    step "ubsan build + tests (preset: ubsan)"
-    cmake --preset ubsan > /dev/null
-    cmake --build --preset ubsan -j "$JOBS"
-    ctest --test-dir build-ubsan --output-on-failure -j "$JOBS"
+    step "asan build + tests (preset: asan)"
+    cmake --preset asan > /dev/null
+    cmake --build --preset asan -j "$JOBS"
+    ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 fi
 
 step "ALL GATES PASSED"
