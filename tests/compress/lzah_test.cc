@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
+#include "common/bits.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "storage/page.h"
 
@@ -129,6 +133,129 @@ TEST(LzahPageEncoderTest, PagesDecodeIndependently)
     // Its first byte starts a fresh line (the previous page ended one).
     std::string text(out.begin(), out.end());
     EXPECT_EQ(text.substr(0, 5), "alpha");
+}
+
+/** Sealed pages of @p lines, encoded in order and flushed. */
+std::vector<Bytes>
+encodePages(const std::vector<std::string> &lines)
+{
+    LzahPageEncoder enc;
+    for (const std::string &line : lines) {
+        EXPECT_NE(enc.addLine(line), AddLineResult::kRejected);
+    }
+    enc.flush();
+    return enc.pages();
+}
+
+/** hash64 over the concatenation of @p pages. */
+uint64_t
+pagesDigest(const std::vector<Bytes> &pages)
+{
+    Bytes all;
+    for (const Bytes &page : pages) {
+        all.insert(all.end(), page.begin(), page.end());
+    }
+    return hash64(all.data(), all.size());
+}
+
+/** Item count stamped in a sealed page's header word. */
+uint32_t
+pageItems(const Bytes &page)
+{
+    return getLe<uint32_t>(page.data());
+}
+
+/** A line of exactly @p len bytes drawn from a small log vocabulary,
+ *  so words repeat at equal offsets across lines (LZAH matches). */
+std::string
+vocabularyLine(Rng &rng, size_t len)
+{
+    static const char *const kWords[] = {
+        "RAS", "KERNEL", "INFO", "FATAL", "node-17", "0x1f2e",
+        "instruction", "cache", "parity", "error", "corrected",
+        "R02-M1-N0", "ciod:", "failed", "to", "read", "message",
+    };
+    std::string line;
+    while (line.size() < len) {
+        line += kWords[rng.below(std::size(kWords))];
+        line += ' ';
+    }
+    line.resize(len);
+    return line;
+}
+
+std::string
+randomLine(Rng &rng, size_t len)
+{
+    std::string line;
+    for (size_t i = 0; i < len; ++i) {
+        line += static_cast<char>(' ' + 1 + rng.below(94));
+    }
+    return line;
+}
+
+/**
+ * The sealed page bytes are part of the device format: any encoder
+ * change (page sizing, rollback, chunk packing) must reproduce them
+ * exactly. Each stream's pages hash to a value recorded when the
+ * encoder sized pages by re-walking every item of the open page.
+ */
+TEST(LzahPageEncoderTest, PageDigestsAreStable)
+{
+    // Lengths cycling 0..kMaxLineBytes (stride 7 reaches both ends).
+    Rng rng(101);
+    std::vector<std::string> cycling;
+    for (size_t len = 0; len <= LzahPageEncoder::kMaxLineBytes; len += 7) {
+        cycling.push_back(vocabularyLine(rng, len));
+    }
+    // Every multiple of the word size up to 512: each line's
+    // terminator takes a word of its own.
+    std::vector<std::string> multiples;
+    for (int round = 0; round < 6; ++round) {
+        for (size_t len = 0; len <= 512; len += kLzahWord) {
+            multiples.push_back(round % 2 == 0 ? vocabularyLine(rng, len)
+                                               : randomLine(rng, len));
+        }
+    }
+    // A repetitive vocabulary: most items are table matches.
+    std::vector<std::string> repetitive;
+    for (int i = 0; i < 3000; ++i) {
+        repetitive.push_back(
+            "2005.06.03 R02-M1-N0-C:J12-U11 RAS KERNEL INFO "
+            "instruction cache parity error corrected "
+            + std::to_string(rng.below(16)));
+    }
+    // Rollback: incompressible lines of 100, 200, 40 and 20 items fill
+    // 253-item pages so the 128- and 256-item chunk boundaries fall
+    // inside lines that then overflow; a seeded tail mixes literal and
+    // repeated long lines.
+    std::vector<std::string> rollback = {
+        randomLine(rng, 1590), randomLine(rng, 3190),
+        randomLine(rng, 630), randomLine(rng, 310)};
+    for (int i = 0; i < 300; ++i) {
+        size_t len = 1000 + rng.below(LzahPageEncoder::kMaxLineBytes - 999);
+        if (i % 2 == 0) {
+            rollback.push_back(randomLine(rng, len));
+        } else {
+            // The previous line's head again: its words are matches.
+            std::string head = rollback.back();
+            head.resize(std::min(len, head.size()));
+            rollback.push_back(head);
+        }
+    }
+
+    std::vector<Bytes> rollback_pages = encodePages(rollback);
+    ASSERT_GE(rollback_pages.size(), 3u);
+    EXPECT_EQ(pageItems(rollback_pages[0]), 100u);  // B overflowed at 100
+    EXPECT_EQ(pageItems(rollback_pages[1]), 240u);  // D overflowed at 240
+
+    EXPECT_EQ(pagesDigest(encodePages(cycling)),
+              0xac750dc36f0ef8f5ull);
+    EXPECT_EQ(pagesDigest(encodePages(multiples)),
+              0x8d2e47b8b1bd0b51ull);
+    EXPECT_EQ(pagesDigest(encodePages(repetitive)),
+              0x8f6ad7cd7466ca05ull);
+    EXPECT_EQ(pagesDigest(rollback_pages), 0x5e3b9a802ef6db2full);
 }
 
 TEST(LzahPaddedModeTest, WordsAreLineAligned)

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -13,7 +14,9 @@
 #include <string>
 
 #include "common/bits.h"
+#include "common/hash.h"
 #include "core/mithrilog.h"
+#include "loggen/incident.h"
 #include "loggen/log_generator.h"
 #include "query/parser.h"
 
@@ -208,6 +211,53 @@ TEST_F(PersistenceTest, TruncatedImageRejected)
         EXPECT_EQ(st.code(), StatusCode::kCorruptData)
             << row.what << ": " << st.toString();
     }
+}
+
+/**
+ * The bytes a store leaves behind are its format: an ingest-path
+ * change that claims "bytes unchanged" must reproduce the device
+ * image, the host image and the recovered image exactly. The
+ * constants were recorded from the ingest path that re-sized every
+ * open LZAH page per line and kept tokens in a std::set.
+ */
+TEST_F(PersistenceTest, ImageDigestsAreStable)
+{
+    loggen::IncidentGroundTruth truth;
+    const std::string text =
+        loggen::generateIncident(loggen::IncidentSpec{}, &truth);
+
+    MithriLogConfig config;
+    config.checkpoint_every_pages = 8;
+    MithriLog store(config);
+    constexpr size_t kSegment = 64 * 1024;
+    for (size_t pos = 0; pos < text.size();) {
+        size_t end = std::min(pos + kSegment, text.size());
+        if (end < text.size()) {
+            end = text.rfind('\n', end - 1) + 1;  // line-aligned
+        }
+        ASSERT_TRUE(
+            store.ingestText(std::string_view(text).substr(pos, end - pos))
+                .isOk());
+        pos = end;
+    }
+    ASSERT_TRUE(store.seal().isOk());
+    ASSERT_GT(store.dataPageCount(), 8u * 3);
+
+    ASSERT_TRUE(store.saveDeviceImage(path_).isOk());
+    const std::string device = readBytes(path_);
+    ASSERT_TRUE(store.saveImage(path_ + ".host").isOk());
+    const std::string host = readBytes(path_ + ".host");
+    std::remove((path_ + ".host").c_str());
+
+    MithriLog recovered;
+    ASSERT_TRUE(recovered.recover(path_).isOk());
+    EXPECT_EQ(recovered.lineCount(), truth.total_lines);
+    ASSERT_TRUE(recovered.saveDeviceImage(path_).isOk());
+    const std::string recovered_device = readBytes(path_);
+
+    EXPECT_EQ(hash64(device), 0x8064c42b7054f364ull);
+    EXPECT_EQ(hash64(host), 0x2544345bda2a965bull);
+    EXPECT_EQ(hash64(recovered_device), 0x9206ee6bc6519a5eull);
 }
 
 TEST_F(PersistenceTest, ConfigMismatchRejected)
