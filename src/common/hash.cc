@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/bits.h"
 #include "common/status.h"
 
 namespace mithril {
@@ -42,33 +43,53 @@ hash64(const void *data, size_t len, uint64_t seed)
 
 namespace {
 
-/** 256-entry table for byte-at-a-time reflected CRC-32. */
-struct Crc32Table {
-    uint32_t entry[256];
+/**
+ * Slicing-by-8 tables for the reflected CRC-32. entry[0] is the
+ * byte-at-a-time table; entry[k][b] is entry[k-1][b] advanced through
+ * one more zero byte, so the eight lookups of one 8-byte stride XOR
+ * together into the CRC after all eight bytes.
+ */
+struct Crc32Tables {
+    uint32_t entry[8][256];
 
-    constexpr Crc32Table() : entry()
+    constexpr Crc32Tables() : entry()
     {
         for (uint32_t i = 0; i < 256; ++i) {
             uint32_t c = i;
             for (int bit = 0; bit < 8; ++bit) {
                 c = (c >> 1) ^ ((c & 1u) ? 0xedb88320u : 0u);
             }
-            entry[i] = c;
+            entry[0][i] = c;
+        }
+        for (int k = 1; k < 8; ++k) {
+            for (uint32_t i = 0; i < 256; ++i) {
+                uint32_t prev = entry[k - 1][i];
+                entry[k][i] = (prev >> 8) ^ entry[0][prev & 0xffu];
+            }
         }
     }
 };
 
-constexpr Crc32Table kCrc32Table;
+constexpr Crc32Tables kCrc32Tables;
 
 } // namespace
 
 uint32_t
 crc32(const void *data, size_t len, uint32_t seed)
 {
+    const auto &t = kCrc32Tables.entry;
     const uint8_t *p = static_cast<const uint8_t *>(data);
     uint32_t c = ~seed;
-    for (size_t i = 0; i < len; ++i) {
-        c = kCrc32Table.entry[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+    for (; len >= 8; p += 8, len -= 8) {
+        uint32_t lo = getLe<uint32_t>(p) ^ c;
+        uint32_t hi = getLe<uint32_t>(p + 4);
+        c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+            t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+            t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+    }
+    for (; len > 0; ++p, --len) {
+        c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
     }
     return ~c;
 }

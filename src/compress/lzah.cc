@@ -34,24 +34,6 @@ pagePayloadCrc(ByteView page)
                  page.size() - kPageHeaderBytes);
 }
 
-/** Exact encoded byte size of @p is_match chunk-packed into one page. */
-size_t
-encodedSize(const std::vector<bool> &is_match)
-{
-    size_t total = kPageHeaderBytes;
-    size_t i = 0;
-    while (i < is_match.size()) {
-        size_t n = std::min(kLzahChunkItems, is_match.size() - i);
-        size_t payload = 0;
-        for (size_t k = 0; k < n; ++k) {
-            payload += is_match[i + k] ? 2 : kLzahWord;
-        }
-        total += kLzahWord + alignUp(payload, kLzahWord);
-        i += n;
-    }
-    return total;
-}
-
 } // namespace
 
 uint32_t
@@ -77,10 +59,7 @@ lzahHash(const Word &w)
 LzahPageEncoder::LzahPageEncoder() : table_(kLzahTableEntries) {}
 
 void
-LzahPageEncoder::encodeLineWords(std::string_view line,
-                                 std::vector<PendingItem> *items,
-                                 size_t *literal_words,
-                                 std::vector<std::pair<uint32_t, Word>> *undo)
+LzahPageEncoder::encodeLineWords(std::string_view line)
 {
     // The line arrives without its terminator; LZAH encodes it as full
     // 16-byte words with the final word holding the '\n' followed by
@@ -103,17 +82,20 @@ LzahPageEncoder::encodeLineWords(std::string_view line,
         if (table_[idx] == w) {
             item.is_match = true;
             item.index = static_cast<uint16_t>(idx);
+            open_payload_ += 2;
         } else {
             item.is_match = false;
             item.literal = w;
-            if (undo != nullptr) {
-                undo->emplace_back(idx, table_[idx]);
-            }
             table_[idx] = w;
-            ++*literal_words;
+            open_payload_ += kLzahWord;
         }
-        items->push_back(item);
-        decompressed_bytes_ += kLzahWord;
+        items_.push_back(item);
+        if (items_.size() % kLzahChunkItems == 0) {
+            // The open chunk is complete: its header word and padded
+            // payload never change again while this page stays open.
+            closed_bytes_ += kLzahWord + alignUp(open_payload_, kLzahWord);
+            open_payload_ = 0;
+        }
         pos += take;
         if (last) {
             break;
@@ -128,6 +110,17 @@ LzahPageEncoder::encodeLineWords(std::string_view line,
     }
 }
 
+size_t
+LzahPageEncoder::openPageBytes() const
+{
+    // Every item adds payload, so a nonzero payload means the open
+    // chunk holds items and carries a header word of its own.
+    size_t open_chunk = open_payload_ == 0
+        ? 0
+        : kLzahWord + alignUp(open_payload_, kLzahWord);
+    return kPageHeaderBytes + closed_bytes_ + open_chunk;
+}
+
 AddLineResult
 LzahPageEncoder::addLine(std::string_view line)
 {
@@ -135,35 +128,27 @@ LzahPageEncoder::addLine(std::string_view line)
         return AddLineResult::kRejected;
     }
 
-    // Optimistically encode against the live table, keeping a rollback
-    // log in case the line overflows the open page (pages decompress
-    // independently, so a sealed page's table state must not leak).
-    std::vector<std::pair<uint32_t, Word>> undo;
-    size_t undo_base = items_.size();
-    size_t literal_before = literal_words_;
-    uint32_t bytes_before = decompressed_bytes_;
+    // Optimistically encode against the live table. On overflow the
+    // line's items and size counters roll back; its table writes need
+    // no undo, because sealing resets the table for the next page
+    // (pages decompress independently).
+    size_t items_before = items_.size();
+    size_t closed_before = closed_bytes_;
+    size_t payload_before = open_payload_;
 
-    encodeLineWords(line, &items_, &literal_words_, &undo);
-
-    std::vector<bool> flags(items_.size());
-    for (size_t i = 0; i < items_.size(); ++i) {
-        flags[i] = items_[i].is_match;
-    }
-    if (encodedSize(flags) <= kPageBytes) {
+    encodeLineWords(line);
+    if (openPageBytes() <= kPageBytes) {
         raw_bytes_ += line.size() + 1;
         return AddLineResult::kAppended;
     }
 
     // Overflow: roll back, seal, re-encode against the fresh page.
-    items_.resize(undo_base);
-    literal_words_ = literal_before;
-    decompressed_bytes_ = bytes_before;
-    for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
-        table_[it->first] = it->second;
-    }
+    items_.resize(items_before);
+    closed_bytes_ = closed_before;
+    open_payload_ = payload_before;
     sealPage();
     // A fresh page always fits a <= kMaxLineBytes line (see header).
-    encodeLineWords(line, &items_, &literal_words_, nullptr);
+    encodeLineWords(line);
     raw_bytes_ += line.size() + 1;
     return AddLineResult::kSealedAndAppended;
 }
@@ -186,7 +171,7 @@ LzahPageEncoder::sealPage()
     Bytes page(kPageBytes, 0);
     PageHeader hdr{};
     hdr.item_count = static_cast<uint32_t>(items_.size());
-    hdr.decompressed_bytes = decompressed_bytes_;
+    hdr.decompressed_bytes = static_cast<uint32_t>(items_.size() * kLzahWord);
     hdr.magic = kPageMagic;
     // hdr.crc is patched in after the payload is laid out.
     std::memcpy(page.data(), &hdr, sizeof hdr);
@@ -217,15 +202,15 @@ LzahPageEncoder::sealPage()
         off = alignUp(off, kLzahWord);
         i += n;
     }
-    MITHRIL_ASSERT(off <= kPageBytes);
+    MITHRIL_ASSERT(off == openPageBytes() && off <= kPageBytes);
 
     hdr.crc = pagePayloadCrc(page);
     std::memcpy(page.data() + offsetof(PageHeader, crc), &hdr.crc, 4);
 
     pages_.push_back(std::move(page));
     items_.clear();
-    literal_words_ = 0;
-    decompressed_bytes_ = 0;
+    closed_bytes_ = 0;
+    open_payload_ = 0;
     // Page independence: the decoder starts from an empty table.
     table_.assign(kLzahTableEntries, Word{});
 }

@@ -124,20 +124,20 @@ class LzahPageEncoder
 
     void sealPage();
 
-    /**
-     * Encodes one line into pending items, mutating the hash table.
-     * When @p undo is non-null, overwritten (index, old word) pairs are
-     * recorded so the caller can roll the table back.
-     */
-    void encodeLineWords(std::string_view line,
-                         std::vector<PendingItem> *items,
-                         size_t *literal_words,
-                         std::vector<std::pair<uint32_t, Word>> *undo);
+    /** Encodes one line into items_, updating the hash table and the
+     *  open page's size counters. */
+    void encodeLineWords(std::string_view line);
+
+    /** Exact encoded size of the open page, from the counters: O(1). */
+    size_t openPageBytes() const;
 
     std::vector<Word> table_;
     std::vector<PendingItem> items_;      // items of the open page
-    size_t literal_words_ = 0;            // literal count in items_
-    uint32_t decompressed_bytes_ = 0;     // padded word bytes in open page
+    /** Encoded bytes (header word + padded payload) of the open page's
+     *  completed 128-item chunks. */
+    size_t closed_bytes_ = 0;
+    /** Unpadded payload bytes of the open page's incomplete chunk. */
+    size_t open_payload_ = 0;
     uint64_t raw_bytes_ = 0;
     std::vector<Bytes> pages_;
 };

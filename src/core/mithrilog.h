@@ -31,7 +31,6 @@
 #define MITHRIL_CORE_MITHRILOG_H
 
 #include <memory>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,6 +38,7 @@
 #include "accel/accelerator.h"
 #include "common/simtime.h"
 #include "compress/lzah.h"
+#include "core/page_tokens.h"
 #include "index/inverted_index.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -499,6 +499,25 @@ class MithriLog
      *  cannot prune enough to pay for itself. */
     bool plannerPrefersScan(std::span<const query::Query> queries) const;
 
+    /**
+     * The per-line half of the one indexing path that ingestLine() and
+     * recover()'s rebuild share. One tokenizer pass adds each token of
+     * @p line to the open page's distinct-token set and, with the typed
+     * index on, hands the line's token list to typed extraction as
+     * line @p line_no.
+     */
+    void indexLine(std::string_view line, uint64_t line_no);
+
+    /**
+     * The per-page half: registers data page @p page, which holds lines
+     * [@p first_line, @p end_line), with the keyword index (its
+     * distinct tokens in byte order, stamped @p end_line) and with the
+     * typed page directory, then empties the token set for the next
+     * page.
+     */
+    void indexPage(storage::PageId page, uint64_t first_line,
+                   uint64_t end_line);
+
     /** Durable page commit: program the data page, journal the commit
      *  record, pass the barrier (ack point), then index the page. Any
      *  failure marks the system dead_ (in-memory state no longer
@@ -571,7 +590,11 @@ class MithriLog
     accel::Accelerator accel_;
 
     compress::LzahPageEncoder encoder_;
-    std::set<std::string, std::less<>> pending_tokens_;
+    /** Distinct tokens of the open page (ingest) or of the page being
+     *  rebuilt (recover). */
+    PageTokenSet page_tokens_;
+    /** The current line's tokens, reused from line to line. */
+    std::vector<std::string_view> line_tokens_;
     uint64_t lines_ = 0;
     uint64_t raw_bytes_ = 0;
     uint64_t truncated_lines_ = 0;

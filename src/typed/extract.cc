@@ -127,11 +127,32 @@ trimPunct(std::string_view token)
     return token;
 }
 
+/** True when @p c can start a value of some registered family: IPv4,
+ *  RFC 3339 and `0x`-prefixed ids start with a decimal digit, MACs,
+ *  IPv6 groups and bare ids with a hex digit, and a compressed IPv6
+ *  address with ':'. */
+bool
+mayStartValue(char c)
+{
+    return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')
+           || (c >= 'A' && c <= 'F') || c == ':';
+}
+
+/** True when no rung of the ladder can yield a key for @p token. Every
+ *  candidate is a substring of the token; without a ':' the shortest
+ *  value of any family is a 7-byte dotted quad ("1.2.3.4"), and IPv6
+ *  needs a ':'. */
+bool
+tooShortForAnyKey(std::string_view token)
+{
+    return token.size() < 7 && token.find(':') == std::string_view::npos;
+}
+
 /** Tries every registered extractor against one candidate. */
 bool
 tryCandidate(std::string_view candidate, TypedKey *out)
 {
-    if (candidate.empty()) {
+    if (candidate.empty() || !mayStartValue(candidate.front())) {
         return false;
     }
     for (const Extractor &e : kRegistry) {
@@ -151,11 +172,10 @@ extractors()
 }
 
 void
-extractLine(std::string_view line, const KeySink &sink)
+extractTokens(std::span<const std::string_view> tokens, const KeySink &sink)
 {
     // Line-level pass: the syslog header ("Aug  9 12:34:56") spans
     // three whitespace tokens, so it cannot be recognized token-wise.
-    std::vector<std::string_view> tokens = splitTokens(line);
     for (size_t i = 0; i + 2 < tokens.size() && i < 4; ++i) {
         uint64_t epoch_s = 0;
         if (parseSyslogTime(tokens[i], tokens[i + 1], tokens[i + 2],
@@ -166,6 +186,9 @@ extractLine(std::string_view line, const KeySink &sink)
     }
 
     for (std::string_view token : tokens) {
+        if (tooShortForAnyKey(token)) {
+            continue;
+        }
         TypedKey key;
         // Boundary-candidate ladder: raw token, punctuation-trimmed,
         // value after '=', value after the last ':'. First hit wins.
@@ -191,6 +214,12 @@ extractLine(std::string_view line, const KeySink &sink)
             sink(key);
         }
     }
+}
+
+void
+extractLine(std::string_view line, const KeySink &sink)
+{
+    extractTokens(splitTokens(line), sink);
 }
 
 bool

@@ -5,8 +5,9 @@
  * Extraction is a pure function of the line bytes: every component that
  * needs typed values — the ingest pipeline feeding the posting lists,
  * the software matcher evaluating typed predicates, the degraded
- * full-scan path, and the test oracles — calls extractLine() and gets
- * the identical key stream. Ad-hoc parsing of line bytes outside
+ * full-scan path, and the test oracles — calls extractLine(), or
+ * extractTokens() with the line's token list, and gets the identical
+ * key stream. Ad-hoc parsing of line bytes outside
  * src/typed/ is forbidden by the `typed-extractor` lint rule, for the
  * same reason the delimiter set lives in exactly one place: divergence
  * would silently break the index-vs-scan equivalence invariant.
@@ -44,6 +45,15 @@ std::span<const Extractor> extractors();
 
 /** Receives each extracted key; occurrence order follows the line. */
 using KeySink = std::function<void(const TypedKey &)>;
+
+/**
+ * Runs the full registry over a line already split into its
+ * whitespace @p tokens (splitTokens() order), invoking @p sink for
+ * every extracted key. The ingest pass calls this with the token list
+ * of its one tokenizer pass; extractLine() splits and calls it.
+ */
+void extractTokens(std::span<const std::string_view> tokens,
+                   const KeySink &sink);
 
 /**
  * Runs the full registry over @p line, invoking @p sink for every

@@ -72,9 +72,10 @@ TypedIndex::TypedIndex(storage::SsdModel *ssd,
 }
 
 void
-TypedIndex::addLine(std::string_view line, uint64_t line_no)
+TypedIndex::addLine(std::span<const std::string_view> tokens,
+                    uint64_t line_no)
 {
-    extractLine(line, [&](const TypedKey &key) {
+    extractTokens(tokens, [&](const TypedKey &key) {
         KeyEntry &entry = keys_[key];
         if (!entry.pending.empty() && entry.pending.back() == line_no) {
             return; // one posting per (key, line)

@@ -67,9 +67,11 @@ class TypedIndex
     explicit TypedIndex(storage::SsdModel *ssd,
                         obs::MetricsRegistry *metrics = nullptr);
 
-    /** Ingest: extracts every typed key of @p line (0-based global
-     *  @p line_no) into the pending posting lists. */
-    void addLine(std::string_view line, uint64_t line_no);
+    /** Ingest: extracts every typed key of the line split into
+     *  @p tokens (0-based global @p line_no) into the pending posting
+     *  lists. */
+    void addLine(std::span<const std::string_view> tokens,
+                 uint64_t line_no);
 
     /** Registers a sealed data page covering lines
      *  [@p first_line, @p first_line + @p line_count) — the directory

@@ -188,9 +188,13 @@ parseIp6(std::string_view text, std::array<uint8_t, 16> *out)
     }
 
     // Parse a colon-separated group list; the final group may be a
-    // dotted quad (embedded IPv4 tail), contributing two groups.
-    auto parseGroups = [](std::string_view part,
-                          std::vector<uint16_t> *groups) {
+    // dotted quad (embedded IPv4 tail), contributing two groups. A part
+    // of more than 8 groups can never fit the address.
+    struct Groups {
+        std::array<uint16_t, 8> value{};
+        size_t size = 0;
+    };
+    auto parseGroups = [](std::string_view part, Groups *groups) {
         if (part.empty()) {
             return true;
         }
@@ -204,20 +208,22 @@ parseIp6(std::string_view text, std::array<uint8_t, 16> *out)
             if (colon == std::string_view::npos
                 && field.find('.') != std::string_view::npos) {
                 std::array<uint8_t, 4> v4{};
-                if (!parseIp4(field, &v4)) {
+                if (groups->size + 2 > groups->value.size()
+                    || !parseIp4(field, &v4)) {
                     return false;
                 }
-                groups->push_back(
-                    static_cast<uint16_t>(v4[0] << 8 | v4[1]));
-                groups->push_back(
-                    static_cast<uint16_t>(v4[2] << 8 | v4[3]));
+                groups->value[groups->size++] =
+                    static_cast<uint16_t>(v4[0] << 8 | v4[1]);
+                groups->value[groups->size++] =
+                    static_cast<uint16_t>(v4[2] << 8 | v4[3]);
                 return true;
             }
             uint16_t value = 0;
-            if (!parseHexGroup(field, &value)) {
+            if (groups->size == groups->value.size()
+                || !parseHexGroup(field, &value)) {
                 return false;
             }
-            groups->push_back(value);
+            groups->value[groups->size++] = value;
             if (colon == std::string_view::npos) {
                 return true;
             }
@@ -225,12 +231,12 @@ parseIp6(std::string_view text, std::array<uint8_t, 16> *out)
         }
     };
 
-    std::vector<uint16_t> front;
-    std::vector<uint16_t> back;
+    Groups front;
+    Groups back;
     if (!parseGroups(head, &front) || !parseGroups(tail, &back)) {
         return false;
     }
-    size_t total = front.size() + back.size();
+    size_t total = front.size + back.size;
     if (gap == std::string_view::npos) {
         if (total != 8) {
             return false;
@@ -240,14 +246,14 @@ parseIp6(std::string_view text, std::array<uint8_t, 16> *out)
     }
 
     std::array<uint8_t, 16> bytes{};
-    for (size_t i = 0; i < front.size(); ++i) {
-        bytes[i * 2] = static_cast<uint8_t>(front[i] >> 8);
-        bytes[i * 2 + 1] = static_cast<uint8_t>(front[i] & 0xff);
+    for (size_t i = 0; i < front.size; ++i) {
+        bytes[i * 2] = static_cast<uint8_t>(front.value[i] >> 8);
+        bytes[i * 2 + 1] = static_cast<uint8_t>(front.value[i] & 0xff);
     }
-    for (size_t i = 0; i < back.size(); ++i) {
-        size_t g = 8 - back.size() + i;
-        bytes[g * 2] = static_cast<uint8_t>(back[i] >> 8);
-        bytes[g * 2 + 1] = static_cast<uint8_t>(back[i] & 0xff);
+    for (size_t i = 0; i < back.size; ++i) {
+        size_t g = 8 - back.size + i;
+        bytes[g * 2] = static_cast<uint8_t>(back.value[i] >> 8);
+        bytes[g * 2 + 1] = static_cast<uint8_t>(back.value[i] & 0xff);
     }
     *out = bytes;
     return true;
@@ -292,22 +298,20 @@ parseHexId(std::string_view text, std::string *out)
     if (text.size() < 8 || text.size() > 64) {
         return false;
     }
+    // Validate first: most candidates are not ids, and a rejected one
+    // must not pay for the nibble string.
     bool has_alpha = false;
-    std::string nibbles;
-    nibbles.reserve(text.size());
     for (char c : text) {
         if (!isHexDigit(c)) {
             return false;
         }
-        if (c > '9') {
-            has_alpha = true;
-        }
-        nibbles.push_back(toLowerHex(c));
+        has_alpha |= c > '9';
     }
     if (!has_alpha) {
         return false; // all-digit runs are numbers, not ids
     }
-    *out = std::move(nibbles);
+    out->resize(text.size());
+    std::transform(text.begin(), text.end(), out->begin(), toLowerHex);
     return true;
 }
 

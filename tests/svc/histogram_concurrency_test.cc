@@ -141,11 +141,14 @@ TEST(HistogramConcurrency, SvcWorkersRecordStageLatencies)
         });
     }
     std::thread querier([&service, &stop] {
-        while (!stop.load()) {
+        // At least one query even when the producers finish before
+        // this thread is first scheduled: the query-side stages below
+        // must have something to record.
+        do {
             svc::ServiceQueryResult r;
             Status st = service.query("payload", &r);
             ASSERT_TRUE(st.isOk()) << st.toString();
-        }
+        } while (!stop.load());
     });
     for (std::thread &t : producers) {
         t.join();

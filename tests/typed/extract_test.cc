@@ -322,6 +322,37 @@ TEST(ExtractTest, KeyStreamDigestIsStable)
     }
 }
 
+/**
+ * Ingest extracts from the token list of its one tokenizer pass
+ * (forEachToken into a vector reused from line to line); queries and
+ * oracles call extractLine(). Both must see the same keys on every
+ * line of the digest inputs.
+ */
+TEST(ExtractTest, TokenListEntryMatchesExtractLine)
+{
+    std::vector<std::vector<std::string>> inputs = {
+        hpc4Lines(0, 20000), hpc4Lines(1, 20000), hpc4Lines(2, 20000),
+        hpc4Lines(3, 20000), incidentLines(), fuzzLines(20000)};
+    std::vector<std::string_view> tokens;
+    size_t lines = 0;
+    for (const std::vector<std::string> &input : inputs) {
+        for (const std::string &line : input) {
+            tokens.clear();
+            forEachToken(line, [&](std::string_view tok, uint32_t) {
+                tokens.push_back(tok);
+                return true;
+            });
+            std::vector<TypedKey> from_tokens;
+            extractTokens(tokens, [&](const TypedKey &k) {
+                from_tokens.push_back(k);
+            });
+            ASSERT_EQ(from_tokens, keysOf(line)) << line;
+            ++lines;
+        }
+    }
+    EXPECT_GT(lines, 100000u);
+}
+
 TEST(ExtractTest, LineContainsKey)
 {
     TypedKey key = ip4Key({10, 1, 2, 3});

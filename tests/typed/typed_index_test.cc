@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/bits.h"
+#include "common/text.h"
 #include "storage/ssd_model.h"
 #include "typed/predicate.h"
 
@@ -45,7 +46,7 @@ fillIndex(TypedIndex *index, uint64_t n)
         if (i % 7 == 0) {
             line += " [feedc0defeedbeef]";
         }
-        index->addLine(line, i);
+        index->addLine(splitTokens(line), i);
     }
 }
 
@@ -84,7 +85,7 @@ TEST(TypedIndexTest, FlushedLookupReadsPostingPages)
 
     // Postings added after a flush land in the pending tail and merge
     // with the flushed pages.
-    index.addLine("late src=10.0.0.1,", 1002);
+    index.addLine(splitTokens("late src=10.0.0.1,"), 1002);
     LookupResult merged = index.lookup(mustParse("ip:10.0.0.1"));
     std::vector<uint64_t> expected = expectedLines(1000, 3);
     expected.push_back(1002);
