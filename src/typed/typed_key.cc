@@ -305,7 +305,9 @@ parseHexId(std::string_view text, std::string *out)
         if (!isHexDigit(c)) {
             return false;
         }
-        has_alpha |= c > '9';
+        if (c > '9') {
+            has_alpha = true;
+        }
     }
     if (!has_alpha) {
         return false; // all-digit runs are numbers, not ids
