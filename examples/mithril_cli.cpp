@@ -4,13 +4,16 @@
  *
  * Subcommands:
  *   generate <dataset> <MB> <out.log>    synthesize a dataset to a file
- *   ingest   <in.log> <out.img>          build a device image from logs
- *   query    <in.img> "<query>"          run one query over an image
+ *   ingest   <in.log> <out.img>          ingest, seal, and write the
+ *                                        device image
+ *   query    <in.img> "<query>"          mount an image (recover()) and
+ *                                        run one query
  *   svc      <in.log> "<query>"          sharded service: concurrent
  *                                        ingest into N shards, query
  *                                        fan-out, deterministic merge
  *   templates <in.log> [N]               FT-tree library (top N shown)
- *   stat     <in.img>                    image statistics
+ *   stat     <in.img>                    mount an image and print its
+ *                                        statistics
  *   soak                                 open-loop soak: seeded mixed
  *                                        ingest+query traffic against
  *                                        the service, SLO quantiles
@@ -141,7 +144,6 @@ usage()
                  "  mithril_cli svc <in.log> \"<query>\"\n"
                  "  mithril_cli templates <in.log> [N]\n"
                  "  mithril_cli stat <in.img>\n"
-                 "  mithril_cli checkpoint <in.img>\n"
                  "  mithril_cli soak\n"
                  "flags: --metrics-out=<path>  --trace-out=<path>\n"
                  "       --shards=<N> --threads=<M>  (svc/soak) "
@@ -242,7 +244,7 @@ cmdIngest(const std::string &log_path, const std::string &img_path)
         std::fprintf(stderr, "ingest: %s\n", st.toString().c_str());
         return 1;
     }
-    st = system.saveImage(img_path);
+    st = system.saveDeviceImage(img_path);
     if (!st.isOk()) {
         std::fprintf(stderr, "save: %s\n", st.toString().c_str());
         return 1;
@@ -290,13 +292,13 @@ cmdQuery(const std::string &img_path, const std::string &query_text)
     mc.use_typed_index = !g_no_typed_index;
     core::MithriLog system(mc);
     std::string effective = withTypedFlags(query_text);
-    Status st = system.loadImage(img_path);
+    Status st = system.recover(img_path);
     if (!st.isOk()) {
-        std::fprintf(stderr, "load: %s\n", st.toString().c_str());
+        std::fprintf(stderr, "mount: %s\n", st.toString().c_str());
         return 1;
     }
-    // The plan attaches after the image load so injection hits only
-    // the query path, not the (host-side) image restore.
+    // The plan attaches after the mount so injection hits only the
+    // query path, not the recovery reads.
     std::unique_ptr<fault::FaultPlan> plan;
     if (!g_fault_spec.empty()) {
         fault::FaultPlanConfig fc;
@@ -545,63 +547,13 @@ cmdTemplates(const std::string &log_path, size_t show)
     return 0;
 }
 
-/** Offline storage maintenance on a saved image: load, run one
- *  checkpoint (journal truncation + segment GC), save back in place.
- *  Works on sealed ingest images — the seal survives via the
- *  superblock flag — and bounds what a later recover() replays. */
-int
-cmdCheckpoint(const std::string &img_path)
-{
-    core::MithriLog system;
-    Status st = system.loadImage(img_path);
-    if (!st.isOk()) {
-        std::fprintf(stderr, "load: %s\n", st.toString().c_str());
-        return 1;
-    }
-    uint64_t chain_before = system.journalChainRecords();
-    uint64_t segments_freed_before =
-        system.ssd().store().segmentsFreed();
-    WallTimer timer;
-    st = system.checkpoint();
-    if (!st.isOk()) {
-        std::fprintf(stderr, "checkpoint: %s\n",
-                     st.toString().c_str());
-        return 1;
-    }
-    st = system.saveImage(img_path);
-    if (!st.isOk()) {
-        std::fprintf(stderr, "save: %s\n", st.toString().c_str());
-        return 1;
-    }
-    uint64_t segments_freed =
-        system.ssd().store().segmentsFreed() - segments_freed_before;
-    std::printf("checkpointed %s: chain %llu -> %llu records "
-                "(snapshot %llu), %llu segment(s) reclaimed\n",
-                img_path.c_str(),
-                static_cast<unsigned long long>(chain_before),
-                static_cast<unsigned long long>(
-                    system.journalChainRecords()),
-                static_cast<unsigned long long>(
-                    system.journalSnapshotRecords()),
-                static_cast<unsigned long long>(segments_freed));
-    obs::JsonRecord("cli_checkpoint")
-        .field("chain_records_before", chain_before)
-        .field("chain_records_after", system.journalChainRecords())
-        .field("snapshot_records", system.journalSnapshotRecords())
-        .field("segments_freed", segments_freed)
-        .field("checkpoints", system.checkpoints())
-        .field("wall_seconds", timer.seconds())
-        .emit();
-    return g_obs.write(system);
-}
-
 int
 cmdStat(const std::string &img_path)
 {
     core::MithriLog system;
-    Status st = system.loadImage(img_path);
+    Status st = system.recover(img_path);
     if (!st.isOk()) {
-        std::fprintf(stderr, "load: %s\n", st.toString().c_str());
+        std::fprintf(stderr, "mount: %s\n", st.toString().c_str());
         return 1;
     }
     std::printf("lines:            %llu\n",
@@ -702,9 +654,6 @@ main(int argc, char **argv)
     }
     if (cmd == "stat" && argc == 3) {
         return cmdStat(argv[2]);
-    }
-    if (cmd == "checkpoint" && argc == 3) {
-        return cmdCheckpoint(argv[2]);
     }
     if (cmd == "soak" && argc == 2) {
         return cmdSoak();

@@ -1,8 +1,9 @@
 /**
  * @file
- * Persistence: build a MithriLog device image, save it, reopen it in a
- * fresh system, and keep querying/ingesting — the operational flow of
- * a log store that survives restarts.
+ * Persistence: build a MithriLog store, flush it and save its device
+ * image, mount the image in a fresh system (recover), reopen it, and
+ * keep querying/ingesting — the operational flow of a log store that
+ * survives restarts.
  *
  * Usage: persist_reopen [image-path]  (default: /tmp/mithrilog.img)
  */
@@ -21,7 +22,7 @@ main(int argc, char **argv)
 {
     std::string path = argc > 1 ? argv[1] : "/tmp/mithrilog.img";
 
-    // Phase 1: ingest and save.
+    // Phase 1: ingest, flush, and save the device image.
     {
         loggen::LogGenerator gen(loggen::datasetByName("Spirit2"));
         core::MithriLog system;
@@ -29,7 +30,10 @@ main(int argc, char **argv)
             return 1;
         }
         WallTimer timer;
-        Status st = system.saveImage(path);
+        Status st = system.flush();
+        if (st.isOk()) {
+            st = system.saveDeviceImage(path);
+        }
         if (!st.isOk()) {
             std::fprintf(stderr, "save failed: %s\n",
                          st.toString().c_str());
@@ -42,15 +46,19 @@ main(int argc, char **argv)
                     path.c_str(), timer.seconds());
     }
 
-    // Phase 2: reopen in a fresh system and query.
+    // Phase 2: mount the image in a fresh system (the journal replay
+    // and index rebuild of recover()), reopen it for writes, and query.
     core::MithriLog reopened;
     WallTimer timer;
-    Status st = reopened.loadImage(path);
+    Status st = reopened.recover(path);
+    if (st.isOk()) {
+        st = reopened.reopen();
+    }
     if (!st.isOk()) {
-        std::fprintf(stderr, "load failed: %s\n", st.toString().c_str());
+        std::fprintf(stderr, "mount failed: %s\n", st.toString().c_str());
         return 1;
     }
-    std::printf("reopened in %.2fs: %llu lines, index memory %s\n",
+    std::printf("mounted in %.2fs: %llu lines, index memory %s\n",
                 timer.seconds(),
                 static_cast<unsigned long long>(reopened.lineCount()),
                 humanBytes(static_cast<double>(

@@ -6,13 +6,13 @@
 namespace mithril {
 
 std::vector<std::string_view>
-splitTokens(std::string_view line, std::string_view delims)
+splitTokens(std::string_view line)
 {
     std::vector<std::string_view> out;
     forEachToken(line, [&](std::string_view tok, uint32_t) {
         out.push_back(tok);
         return true;
-    }, delims);
+    });
     return out;
 }
 

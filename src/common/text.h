@@ -3,11 +3,12 @@
  * Text utilities shared by the software and hardware tokenization paths.
  *
  * The paper defines a *token* (or term) as a maximal run of characters
- * separated by delimiters. The delimiter set is a configuration shared by
- * every component that must agree on token boundaries: the accelerator's
- * tokenizer array, the software reference matcher, the inverted index's
- * ingest path, and the baselines. Divergence here would silently break
- * the executor-equivalence invariant, so there is exactly one definition.
+ * separated by delimiters. The delimiter set (space, tab, carriage
+ * return) is shared by every component that must agree on token
+ * boundaries: the accelerator's tokenizer array, the software reference
+ * matcher, the inverted index's ingest path, and the baselines.
+ * Divergence here would silently break the executor-equivalence
+ * invariant, so there is exactly one definition.
  */
 #ifndef MITHRIL_COMMON_TEXT_H
 #define MITHRIL_COMMON_TEXT_H
@@ -19,14 +20,11 @@
 
 namespace mithril {
 
-/** Default delimiter set: ASCII whitespace (space and tab). */
-constexpr std::string_view kDefaultDelimiters = " \t\r";
-
-/** True when @p c separates tokens under @p delims. */
+/** True when @p c separates tokens: space, tab or carriage return. */
 inline bool
-isDelimiter(char c, std::string_view delims = kDefaultDelimiters)
+isDelimiter(char c)
 {
-    return delims.find(c) != std::string_view::npos;
+    return c == ' ' || c == '\t' || c == '\r';
 }
 
 /**
@@ -35,9 +33,7 @@ isDelimiter(char c, std::string_view delims = kDefaultDelimiters)
  * Views point into @p line; the caller keeps it alive. Empty tokens are
  * never produced.
  */
-std::vector<std::string_view>
-splitTokens(std::string_view line,
-            std::string_view delims = kDefaultDelimiters);
+std::vector<std::string_view> splitTokens(std::string_view line);
 
 /**
  * Invokes @p fn(token, column) for each token of @p line without
@@ -45,17 +41,16 @@ splitTokens(std::string_view line,
  */
 template <typename Fn>
 inline void
-forEachToken(std::string_view line, Fn &&fn,
-             std::string_view delims = kDefaultDelimiters)
+forEachToken(std::string_view line, Fn &&fn)
 {
     size_t i = 0;
     uint32_t column = 0;
     while (i < line.size()) {
-        while (i < line.size() && isDelimiter(line[i], delims)) {
+        while (i < line.size() && isDelimiter(line[i])) {
             ++i;
         }
         size_t start = i;
-        while (i < line.size() && !isDelimiter(line[i], delims)) {
+        while (i < line.size() && !isDelimiter(line[i])) {
             ++i;
         }
         if (i > start) {

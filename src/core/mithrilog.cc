@@ -929,211 +929,10 @@ MithriLog::plannerPrefersScan(std::span<const query::Query> queries) const
 }
 
 namespace {
-constexpr uint32_t kImageMagic = 0x474f4c4d;  // "MLOG"
-/** v7: the journal cursor leads with the five superblock cells and
- *  drops the chained flag and the per-page replay position. v6: a
- *  length-prefixed typed-index blob (key directory + sealed-page
- *  directory, DESIGN.md §15) follows the inverted-index blob; typed
- *  posting pages travel in the page dump like index pages. v5:
- *  storage-lifecycle images — the journal cursor is length-prefixed
- *  (it went variable: committed page table + chain/snapshot page lists)
- *  and a freed-logical-id list restores the FTL free list, with freed
- *  ids dumped as zero pages to keep the logical-order dump dense. v4
- *  widened the cursor to 8 words; v3 added the durable-commit state and
- *  the cursor; v2 images predate the journal layout. Older versions are
- *  rejected. */
-constexpr uint32_t kImageVersion = 7;
-
 /** Raw device dump header (saveDeviceImage / recover). */
 constexpr uint32_t kDeviceMagic = 0x5645444d;  // "MDEV"
 constexpr uint32_t kDeviceVersion = 1;
 } // namespace
-
-Status
-MithriLog::saveImage(const std::string &path)
-{
-    MITHRIL_RETURN_IF_ERROR(flush());
-
-    std::vector<uint8_t> blob;
-    putLe<uint32_t>(blob, kImageMagic);
-    putLe<uint32_t>(blob, kImageVersion);
-    putLe<uint64_t>(blob, lines_);
-    putLe<uint64_t>(blob, raw_bytes_);
-    putLe<uint64_t>(blob, truncated_lines_);
-    putLe<uint64_t>(blob, committed_lines_);
-    putLe<uint64_t>(blob, committed_raw_);
-    putLe<uint64_t>(blob, sealed_ ? 1 : 0);
-    putLe<uint64_t>(blob, data_pages_.size());
-    for (PageId p : data_pages_) {
-        putLe<uint64_t>(blob, p);
-    }
-
-    // Logical ids the lifecycle layer freed (old journal chains and
-    // snapshots): restored as burned ids whose slots rejoin the free
-    // list, so post-load allocation order matches the live store's.
-    std::vector<PageId> freed;
-    for (PageId p = 0; p < ssd_.store().pageCount(); ++p) {
-        if (!ssd_.store().contains(p)) {
-            freed.push_back(p);
-        }
-    }
-    putLe<uint64_t>(blob, freed.size());
-    for (PageId p : freed) {
-        putLe<uint64_t>(blob, p);
-    }
-
-    std::vector<uint8_t> index_blob;
-    index_->serialize(&index_blob);
-    putLe<uint64_t>(blob, index_blob.size());
-    blob.insert(blob.end(), index_blob.begin(), index_blob.end());
-
-    std::vector<uint8_t> typed_blob;
-    typed_index_->serialize(&typed_blob);
-    putLe<uint64_t>(blob, typed_blob.size());
-    blob.insert(blob.end(), typed_blob.begin(), typed_blob.end());
-
-    std::vector<uint8_t> journal_blob;
-    journal_.serialize(&journal_blob);
-    putLe<uint64_t>(blob, journal_blob.size());
-    blob.insert(blob.end(), journal_blob.begin(), journal_blob.end());
-
-    uint64_t pages = ssd_.store().pageCount();
-    putLe<uint64_t>(blob, pages);
-
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr) {
-        return Status::invalidArgument("cannot open " + path);
-    }
-    bool ok = std::fwrite(blob.data(), 1, blob.size(), f) == blob.size();
-    static const uint8_t kZeroPage[storage::kPageSize] = {};
-    for (PageId p = 0; ok && p < pages; ++p) {
-        if (!ssd_.store().contains(p)) {
-            // Freed id: its slot is gone, but the logical-order dump
-            // must stay dense for the positional load below.
-            ok = std::fwrite(kZeroPage, 1, sizeof kZeroPage, f) ==
-                 sizeof kZeroPage;
-            continue;
-        }
-        std::span<const uint8_t> view;
-        ok = ssd_.store().read(p, &view).isOk() &&
-             std::fwrite(view.data(), 1, view.size(), f) == view.size();
-    }
-    if (std::fclose(f) != 0 || !ok) {
-        return Status::internal("short write to " + path);
-    }
-    return Status::ok();
-}
-
-Status
-MithriLog::loadImage(const std::string &path)
-{
-    if (lines_ != 0 || ssd_.store().pageCount() != 0) {
-        return Status::invalidArgument(
-            "loadImage requires a fresh system");
-    }
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-        return Status::invalidArgument("cannot open " + path);
-    }
-    std::vector<uint8_t> blob;
-    uint8_t chunk[65536];
-    size_t n;
-    while ((n = std::fread(chunk, 1, sizeof chunk, f)) > 0) {
-        blob.insert(blob.end(), chunk, chunk + n);
-    }
-    std::fclose(f);
-
-    size_t pos = 0;
-    auto get64 = [&]() { uint64_t v = getLe<uint64_t>(blob.data() + pos);
-                         pos += 8; return v; };
-    // True when @p count items of @p size bytes, then the 8-byte field
-    // after them, fit in the unread bytes. Division, not a product: a
-    // count read from the file must not wrap the check.
-    auto fits = [&](uint64_t count, size_t size) {
-        size_t left = blob.size() - pos;
-        return left >= 8 && count <= (left - 8) / size;
-    };
-    if (blob.size() < 8 || getLe<uint32_t>(blob.data()) != kImageMagic ||
-        getLe<uint32_t>(blob.data() + 4) != kImageVersion) {
-        return Status::corruptData("bad image header");
-    }
-    pos = 8;
-    if (!fits(6, 8)) {
-        return Status::corruptData("image truncated");
-    }
-    lines_ = get64();
-    raw_bytes_ = get64();
-    truncated_lines_ = get64();
-    committed_lines_ = get64();
-    committed_raw_ = get64();
-    sealed_ = get64() != 0;
-    uint64_t n_data_pages = get64();
-    if (!fits(n_data_pages, 8)) {
-        return Status::corruptData("image data-page list truncated");
-    }
-    data_pages_.clear();
-    for (uint64_t i = 0; i < n_data_pages; ++i) {
-        data_pages_.push_back(get64());
-    }
-    uint64_t n_freed = get64();
-    if (!fits(n_freed, 8)) {
-        return Status::corruptData("image free list truncated");
-    }
-    std::vector<PageId> freed;
-    freed.reserve(n_freed);
-    for (uint64_t i = 0; i < n_freed; ++i) {
-        freed.push_back(get64());
-    }
-    uint64_t index_size = get64();
-    if (!fits(index_size, 1)) {
-        return Status::corruptData("image index blob truncated");
-    }
-    std::span<const uint8_t> index_blob(blob.data() + pos, index_size);
-    pos += index_size;
-    uint64_t typed_size = get64();
-    if (!fits(typed_size, 1)) {
-        return Status::corruptData("image typed blob truncated");
-    }
-    std::span<const uint8_t> typed_blob(blob.data() + pos, typed_size);
-    pos += typed_size;
-    // The journal cursor references the current journal page image, so
-    // it deserializes only after the pages below are in the store. It
-    // is variable-length (committed table + page lists): the prefix
-    // says how much to skip now and consume later.
-    uint64_t cursor_bytes = get64();
-    if (!fits(cursor_bytes, 1)) {
-        return Status::corruptData("image journal cursor truncated");
-    }
-    size_t cursor_pos = pos;
-    pos += cursor_bytes;
-    uint64_t pages = get64();
-    if (pages > (blob.size() - pos) / storage::kPageSize) {
-        return Status::corruptData("image pages truncated");
-    }
-    for (uint64_t p = 0; p < pages; ++p) {
-        PageId id = ssd_.allocate();
-        MITHRIL_RETURN_IF_ERROR(ssd_.store().write(
-            id, std::span<const uint8_t>(
-                    blob.data() + pos + p * storage::kPageSize,
-                    storage::kPageSize)));
-    }
-    // Re-burn the freed ids so the FTL state (free list, occupancy)
-    // matches the saving store's.
-    for (PageId p : freed) {
-        MITHRIL_RETURN_IF_ERROR(ssd_.store().free(p));
-    }
-    size_t consumed = 0;
-    MITHRIL_RETURN_IF_ERROR(journal_.deserialize(
-        blob.data() + cursor_pos, cursor_bytes, &consumed));
-    if (consumed != cursor_bytes) {
-        return Status::corruptData("image journal cursor size mismatch");
-    }
-    MITHRIL_RETURN_IF_ERROR(index_->deserialize(index_blob));
-    MITHRIL_RETURN_IF_ERROR(typed_index_->deserialize(typed_blob));
-    updateStorageGauges();
-    ssd_.resetClock();
-    return Status::ok();
-}
 
 Status
 MithriLog::saveDeviceImage(const std::string &path) const

@@ -323,26 +323,18 @@ class MithriLog
         std::span<const query::Query> queries, QueryResult *out);
 
     // ---- persistence ----------------------------------------------------
-
-    /**
-     * Writes a device image (all pages, index state, counters) to
-     * @p path. Flushes first, so the image is self-contained.
-     */
-    [[nodiscard]] Status saveImage(const std::string &path);
-
-    /**
-     * Restores a device image into this system. Must be called on a
-     * freshly constructed MithriLog whose configuration matches the
-     * saving one (the index validates its part).
-     * @retval kCorruptData unreadable, malformed, or mismatched image.
-     */
-    [[nodiscard]] Status loadImage(const std::string &path);
+    //
+    // One image format: the raw device image. Save with flush() or
+    // seal() followed by saveDeviceImage(); open with recover(), then
+    // reopen() to keep ingesting.
 
     /**
      * Dumps the raw NAND contents (every page, no host-side state) to
-     * @p path. Unlike saveImage this works on a device that lost
-     * power — it reads the store directly, exactly what pulling the
-     * flash out of a dead device would yield. Input for recover().
+     * @p path. Works on a device that lost power too — it reads the
+     * store directly, exactly what pulling the flash out of a dead
+     * device would yield. Only journaled commits survive the mount, so
+     * call flush() or seal() first to include the open page. Input for
+     * recover().
      */
     [[nodiscard]] Status saveDeviceImage(const std::string &path) const;
 

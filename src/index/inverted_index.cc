@@ -5,8 +5,6 @@
 #include <map>
 #include <set>
 
-#include "common/bits.h"
-
 namespace mithril::index {
 
 using storage::PageId;
@@ -16,7 +14,6 @@ using storage::Link;
 
 namespace {
 
-constexpr size_t kLeafSlotsPerPage = kPageSize / sizeof(uint64_t[17]);
 // Explicit values derived from the serialized node sizes.
 constexpr size_t kLeafPerPage = 4096 / 136;   // 30
 constexpr size_t kRootPerPage = 4096 / 144;   // 28
@@ -29,9 +26,6 @@ InvertedIndex::InvertedIndex(storage::SsdModel *ssd, IndexConfig config,
       hashes_(config.hash_entries, 0x1d8f00d5ull, 0x9aa2c3b7ull),
       entries_(config.hash_entries)
 {
-    MITHRIL_ASSERT(config_.node_arity <= 16);
-    MITHRIL_ASSERT(config_.buffer_slots <= 16);
-    (void)kLeafSlotsPerPage;
     obs::MetricsRegistry &m = obs::registryOrOwn(metrics, &owned_metrics_);
     counters_.leaf_pages_allocated =
         &m.counter("index.leaf_pages_allocated");
@@ -90,7 +84,7 @@ InvertedIndex::push(Entry *entry, PageId page)
     entry->buffer.push_back(page);
     entry->last_pushed = page;
     ++entry->total_pages;
-    if (entry->buffer.size() >= config_.buffer_slots) {
+    if (entry->buffer.size() >= kBufferSlots) {
         flushBuffer(entry);
     }
 }
@@ -134,7 +128,7 @@ InvertedIndex::flushBuffer(Entry *entry)
     ++leaf_flushes_;
     ++leaves_since_snapshot_;
     counters_.leaf_nodes_flushed->add();
-    if (entry->leaf_refs.size() >= config_.node_arity) {
+    if (entry->leaf_refs.size() >= kNodeArity) {
         flushRoot(entry);
     }
 }
@@ -418,119 +412,6 @@ InvertedIndex::pageRangeForTime(uint64_t t0, uint64_t t1) const
         }
     }
     return {lo, hi};
-}
-
-namespace {
-constexpr uint32_t kIndexBlobMagic = 0x58444c4d;  // "MLDX"
-} // namespace
-
-void
-InvertedIndex::serialize(std::vector<uint8_t> *out) const
-{
-    putLe<uint32_t>(*out, kIndexBlobMagic);
-    putLe<uint32_t>(*out, config_.hash_entries);
-    putLe<uint8_t>(*out, config_.two_hash ? 1 : 0);
-
-    for (const Entry &entry : entries_) {
-        putLe<uint16_t>(*out, static_cast<uint16_t>(entry.buffer.size()));
-        for (PageId p : entry.buffer) {
-            putLe<uint64_t>(*out, p);
-        }
-        putLe<uint16_t>(*out,
-                        static_cast<uint16_t>(entry.leaf_refs.size()));
-        for (uint64_t r : entry.leaf_refs) {
-            putLe<uint64_t>(*out, r);
-        }
-        putLe<uint64_t>(*out, entry.head_root);
-        putLe<uint64_t>(*out, entry.total_pages);
-        putLe<uint64_t>(*out, entry.last_pushed);
-    }
-
-    putLe<uint64_t>(*out, open_leaf_page_);
-    putLe<uint64_t>(*out, open_leaf_slot_);
-    putLe<uint64_t>(*out, open_root_page_);
-    putLe<uint64_t>(*out, open_root_slot_);
-    putLe<uint64_t>(*out, leaf_flushes_);
-    putLe<uint64_t>(*out, leaves_since_snapshot_);
-    putLe<uint64_t>(*out, max_data_page_);
-    putLe<uint32_t>(*out, static_cast<uint32_t>(snapshots_.size()));
-    for (const SnapshotRecord &s : snapshots_) {
-        putLe<uint64_t>(*out, s.timestamp);
-        putLe<uint64_t>(*out, s.max_data_page);
-    }
-}
-
-Status
-InvertedIndex::deserialize(std::span<const uint8_t> in)
-{
-    size_t pos = 0;
-    auto need = [&](size_t n) { return pos + n <= in.size(); };
-    auto get16 = [&]() { uint16_t v = getLe<uint16_t>(in.data() + pos);
-                         pos += 2; return v; };
-    auto get32 = [&]() { uint32_t v = getLe<uint32_t>(in.data() + pos);
-                         pos += 4; return v; };
-    auto get64 = [&]() { uint64_t v = getLe<uint64_t>(in.data() + pos);
-                         pos += 8; return v; };
-
-    if (!need(9) ) {
-        return Status::corruptData("index blob truncated");
-    }
-    if (get32() != kIndexBlobMagic) {
-        return Status::corruptData("index blob magic mismatch");
-    }
-    if (get32() != config_.hash_entries ||
-        (in[pos] != 0) != config_.two_hash) {
-        return Status::corruptData("index blob config mismatch");
-    }
-    ++pos;
-
-    for (Entry &entry : entries_) {
-        if (!need(2)) {
-            return Status::corruptData("index blob entry truncated");
-        }
-        uint16_t nbuf = get16();
-        if (nbuf > config_.buffer_slots || !need(nbuf * 8ull + 2)) {
-            return Status::corruptData("index blob buffer invalid");
-        }
-        entry.buffer.clear();
-        for (uint16_t i = 0; i < nbuf; ++i) {
-            entry.buffer.push_back(get64());
-        }
-        uint16_t nleaf = get16();
-        if (nleaf > config_.node_arity || !need(nleaf * 8ull + 24)) {
-            return Status::corruptData("index blob leaf refs invalid");
-        }
-        entry.leaf_refs.clear();
-        for (uint16_t i = 0; i < nleaf; ++i) {
-            entry.leaf_refs.push_back(get64());
-        }
-        entry.head_root = get64();
-        entry.total_pages = get64();
-        entry.last_pushed = get64();
-    }
-
-    if (!need(7 * 8 + 4)) {
-        return Status::corruptData("index blob tail truncated");
-    }
-    open_leaf_page_ = get64();
-    open_leaf_slot_ = get64();
-    open_root_page_ = get64();
-    open_root_slot_ = get64();
-    leaf_flushes_ = get64();
-    leaves_since_snapshot_ = get64();
-    max_data_page_ = get64();
-    uint32_t nsnap = get32();
-    if (!need(nsnap * 16ull)) {
-        return Status::corruptData("index blob snapshots truncated");
-    }
-    snapshots_.clear();
-    for (uint32_t i = 0; i < nsnap; ++i) {
-        SnapshotRecord s;
-        s.timestamp = get64();
-        s.max_data_page = get64();
-        snapshots_.push_back(s);
-    }
-    return Status::ok();
 }
 
 std::vector<uint64_t>

@@ -37,6 +37,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/hash.h"
@@ -50,10 +51,6 @@ namespace mithril::index {
 struct IndexConfig {
     /** In-memory hash table entries (power of two). */
     uint32_t hash_entries = 1u << 15;
-    /** Data-page addresses buffered in memory per entry. */
-    size_t buffer_slots = 16;
-    /** Arity of both tree levels (16 x 16 = 256 pages per root). */
-    size_t node_arity = 16;
     /** Use the two-hash balancing scheme (false = single hash,
      *  kept for the Section 6.2 ablation). */
     bool two_hash = true;
@@ -142,21 +139,6 @@ class InvertedIndex
      *  Section 6.2 two-hash ablation). */
     std::vector<uint64_t> entryLoads() const;
 
-    /**
-     * Serializes the in-memory index state (entries, open-page
-     * cursors, snapshot log) for device-image persistence. The
-     * in-storage nodes live in the shared SsdModel and are persisted
-     * with it, not here.
-     */
-    void serialize(std::vector<uint8_t> *out) const;
-
-    /**
-     * Restores state produced by serialize(). The configuration of
-     * this index must match the one that serialized (validated).
-     * @retval kCorruptData malformed blob or config mismatch.
-     */
-    Status deserialize(std::span<const uint8_t> in);
-
   private:
     static constexpr uint64_t kInvalidRef = ~0ull;
     /** Node references pack (page << 6 | slot). */
@@ -170,7 +152,12 @@ class InvertedIndex
         storage::PageId last_pushed = storage::kInvalidPage;
     };
 
-    /** Serialized leaf node: node_arity addresses, CRC-framed. */
+    /** Data-page addresses buffered in memory per entry: one leaf. */
+    static constexpr size_t kBufferSlots = 16;
+    /** Arity of both tree levels (16 x 16 = 256 pages per root). */
+    static constexpr size_t kNodeArity = 16;
+
+    /** Serialized leaf node: one entry's buffer, CRC-framed. */
     struct LeafNode {
         uint64_t addrs[16];
         uint16_t count;
@@ -178,6 +165,7 @@ class InvertedIndex
         uint32_t crc;  ///< CRC-32 of the node with this field zeroed
     };
     static_assert(sizeof(LeafNode) == 136);
+    static_assert(kBufferSlots == std::extent_v<decltype(LeafNode::addrs)>);
 
     /** Serialized root node: leaf refs + list link, CRC-framed. */
     struct RootNode {
@@ -188,6 +176,8 @@ class InvertedIndex
         uint32_t crc;  ///< CRC-32 of the node with this field zeroed
     };
     static_assert(sizeof(RootNode) == 144);
+    static_assert(kNodeArity ==
+                  std::extent_v<decltype(RootNode::leaf_refs)>);
 
     /** CRC over a node image with its crc field zeroed; detects any
      *  bit flip in the 136/144-byte node a read returned. */

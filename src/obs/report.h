@@ -41,21 +41,6 @@ Status writeMetricsJson(const MetricsRegistry &registry,
                         const std::string &path);
 
 /**
- * Chrome-trace export carrying the registry's latency quantiles along
- * with the span buffer: the tracer's own JSON plus one counter-track
- * event (`"ph":"C"`, pid 3 "latency quantiles") per quantile
- * histogram, so a trace opened in Perfetto shows the tail next to the
- * spans that produced it.
- */
-std::string chromeTraceWithQuantiles(const Tracer &tracer,
-                                     const MetricsRegistry &registry);
-
-/** Writes chromeTraceWithQuantiles() to @p path. */
-Status writeChromeTrace(const Tracer &tracer,
-                        const MetricsRegistry &registry,
-                        const std::string &path);
-
-/**
  * One-line machine-readable record: `BENCH_JSON {"bench": ..., ...}`.
  *
  * Chained field() calls build the object; emit() prints the line (and

@@ -77,8 +77,12 @@ SoftwareMatcher::matches(std::string_view line) const
 {
     std::fill(found_.begin(), found_.end(), 0);
     std::fill(violated_.begin(), violated_.end(), 0);
+    tokens_scratch_.clear();
 
     forEachToken(line, [&](std::string_view tok, uint32_t) {
+        if (any_typed_) {
+            tokens_scratch_.push_back(tok);
+        }
         auto it = by_token_.find(tok);
         if (it != by_token_.end()) {
             for (const Occurrence &occ : it->second) {
@@ -109,13 +113,15 @@ SoftwareMatcher::matches(std::string_view line) const
             continue;
         }
         // Keyword side satisfied; the set's typed predicates must also
-        // hold. Keys are extracted at most once per line, on demand.
+        // hold. Keys are extracted at most once per line, on demand,
+        // from the tokens of the pass above.
         for (const typed::Predicate &pred : set_typed_[i]) {
             if (!keys_ready) {
                 keys_scratch_.clear();
-                typed::extractLine(line, [&](const typed::TypedKey &k) {
-                    keys_scratch_.push_back(k);
-                });
+                typed::extractTokens(tokens_scratch_,
+                                     [&](const typed::TypedKey &k) {
+                                         keys_scratch_.push_back(k);
+                                     });
                 keys_ready = true;
             }
             bool hit = false;

@@ -74,6 +74,8 @@ class SoftwareMatcher
     // thread-safe by design — clone per thread).
     mutable std::vector<uint64_t> found_;
     mutable std::vector<uint8_t> violated_;
+    /** The line's tokens, kept only when the query has typed terms. */
+    mutable std::vector<std::string_view> tokens_scratch_;
     mutable std::vector<typed::TypedKey> keys_scratch_;
 };
 

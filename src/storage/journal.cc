@@ -125,26 +125,6 @@ Journal::Superblock::decode(const uint8_t *p, Cells *cells,
     return true;
 }
 
-void
-Journal::Superblock::serialize(std::vector<uint8_t> *out) const
-{
-    putLe(*out, cells_.epoch);
-    putLe(*out, cells_.generation);
-    putLe(*out, cells_.head);
-    putLe(*out, cells_.snapshot_head);
-    putLe(*out, cells_.snapshot_records);
-}
-
-void
-Journal::Superblock::restore(const uint8_t *data)
-{
-    cells_.epoch = getLe<uint64_t>(data);
-    cells_.generation = getLe<uint64_t>(data + 8);
-    cells_.head = getLe<uint64_t>(data + 16);
-    cells_.snapshot_head = getLe<uint64_t>(data + 24);
-    cells_.snapshot_records = getLe<uint64_t>(data + 32);
-}
-
 Journal::Journal(SsdModel *ssd, obs::MetricsRegistry *metrics) : ssd_(ssd)
 {
     obs::MetricsRegistry &m = obs::registryOrOwn(metrics, &owned_metrics_);
@@ -553,96 +533,6 @@ Journal::replayChain(PageId head, uint64_t generation, ReplayResult *out)
         ++expect_page_seq;
     }
     return false;
-}
-
-void
-Journal::serialize(std::vector<uint8_t> *out) const
-{
-    sb_.serialize(out);
-    putLe(*out, cur_);
-    putLe(*out, static_cast<uint64_t>(cur_seq_));
-    putLe(*out, static_cast<uint64_t>(cur_count_));
-    putLe(*out, next_seq_);
-    putLe(*out, checkpoints_);
-    putLe(*out, static_cast<uint64_t>(committed_.size()));
-    for (const CommittedPage &cp : committed_) {
-        putLe(*out, cp.page);
-        putLe(*out, static_cast<uint64_t>(cp.crc));
-        putLe(*out, cp.lines);
-        putLe(*out, cp.raw_bytes);
-    }
-    putLe(*out, static_cast<uint64_t>(chain_pages_.size()));
-    for (PageId p : chain_pages_) {
-        putLe(*out, p);
-    }
-    putLe(*out, static_cast<uint64_t>(snapshot_pages_.size()));
-    for (PageId p : snapshot_pages_) {
-        putLe(*out, p);
-    }
-}
-
-Status
-Journal::deserialize(const uint8_t *data, size_t len, size_t *consumed)
-{
-    constexpr size_t kFixedBytes =
-        Superblock::kSerializedBytes + 5 * sizeof(uint64_t);
-    constexpr size_t kEntryBytes = 4 * sizeof(uint64_t);
-    if (len < kFixedBytes + sizeof(uint64_t)) {
-        return Status::corruptData("journal cursor truncated");
-    }
-    sb_.restore(data);
-    size_t pos = Superblock::kSerializedBytes;
-    cur_ = getLe<uint64_t>(data + pos);
-    cur_seq_ = static_cast<uint32_t>(getLe<uint64_t>(data + pos + 8));
-    cur_count_ = static_cast<size_t>(getLe<uint64_t>(data + pos + 16));
-    next_seq_ = getLe<uint64_t>(data + pos + 24);
-    checkpoints_ = getLe<uint64_t>(data + pos + 32);
-    pos = kFixedBytes;
-    uint64_t n_committed = getLe<uint64_t>(data + pos);
-    pos += sizeof(uint64_t);
-    if (n_committed > (len - pos) / kEntryBytes) {
-        return Status::corruptData("journal cursor: bad table size");
-    }
-    committed_.clear();
-    committed_.reserve(n_committed);
-    for (uint64_t i = 0; i < n_committed; ++i) {
-        committed_.push_back(CommittedPage{
-            .page = getLe<uint64_t>(data + pos),
-            .crc = static_cast<uint32_t>(getLe<uint64_t>(data + pos + 8)),
-            .lines = getLe<uint64_t>(data + pos + 16),
-            .raw_bytes = getLe<uint64_t>(data + pos + 24),
-        });
-        pos += kEntryBytes;
-    }
-    for (std::vector<PageId> *list : {&chain_pages_, &snapshot_pages_}) {
-        if (len - pos < sizeof(uint64_t)) {
-            return Status::corruptData("journal cursor truncated");
-        }
-        uint64_t n = getLe<uint64_t>(data + pos);
-        pos += sizeof(uint64_t);
-        if (n > (len - pos) / sizeof(uint64_t)) {
-            return Status::corruptData("journal cursor: bad page list");
-        }
-        list->clear();
-        list->reserve(n);
-        for (uint64_t i = 0; i < n; ++i) {
-            list->push_back(getLe<uint64_t>(data + pos));
-            pos += sizeof(uint64_t);
-        }
-    }
-    updateObsGauges();
-    *consumed = pos;
-    if (!formatted()) {
-        cur_image_.clear();
-        return Status::ok();
-    }
-    if (cur_count_ > kRecordsPerPage) {
-        return Status::corruptData("journal cursor: bad record count");
-    }
-    std::span<const uint8_t> view;
-    MITHRIL_RETURN_IF_ERROR(ssd_->store().read(cur_, &view));
-    cur_image_.assign(view.begin(), view.end());
-    return Status::ok();
 }
 
 } // namespace mithril::storage

@@ -111,7 +111,7 @@ class Journal
      *  the generation / chain / snapshot record gauges. */
     explicit Journal(SsdModel *ssd, obs::MetricsRegistry *metrics = nullptr);
 
-    /** True once a superblock was published (or a cursor restored). */
+    /** True once a superblock was published. */
     bool formatted() const { return sb_.cells().head != kInvalidPage; }
 
     /**
@@ -183,18 +183,7 @@ class Journal
      */
     Status replay(ReplayResult *out);
 
-    /** Appends the journal cursor to @p out (for the host image). */
-    void serialize(std::vector<uint8_t> *out) const;
-
-    /**
-     * Restores the cursor from @p data (written by serialize) and
-     * re-reads the current journal page image from the store. Sets
-     * @p consumed to the bytes read from @p data.
-     */
-    Status deserialize(const uint8_t *data, size_t len,
-                       size_t *consumed);
-
-    /** Current journal incarnation (0 until format/reopen/restore). */
+    /** Current journal incarnation (0 until format/reopen). */
     uint64_t generation() const { return sb_.cells().generation; }
 
     /** Records in the live chain (what a mount must replay past the
@@ -213,9 +202,9 @@ class Journal
   private:
     /**
      * The cells the newest durable superblock holds. Only a superblock
-     * program the device accepted (program()) and the host-image
-     * restore (restore()) change them, so the cursor never names an
-     * epoch, generation, chain or snapshot a mount would not replay.
+     * program the device accepted (program()) changes them, so the
+     * cursor never names an epoch, generation, chain or snapshot a
+     * mount would not replay.
      */
     class Superblock
     {
@@ -240,11 +229,6 @@ class Journal
         /** Parses a superblock page; false when torn or foreign. */
         static bool decode(const uint8_t *page, Cells *cells,
                            uint64_t *flags);
-
-        /** Host-image form: the five cells as u64s. */
-        static constexpr size_t kSerializedBytes = 5 * sizeof(uint64_t);
-        void serialize(std::vector<uint8_t> *out) const;
-        void restore(const uint8_t *data);
 
       private:
         Cells cells_;
@@ -273,9 +257,9 @@ class Journal
     uint64_t next_seq_ = 1;       ///< next chain-local record seq
     uint64_t checkpoints_ = 0;
     /** Committed page table in commit order: what the publish step
-     *  writes into the snapshot. Maintained by appendPageCommit /
-     *  reopen / deserialize; never read by replay (the media is
-     *  authoritative at mount). */
+     *  writes into the snapshot. Maintained by appendPageCommit and
+     *  reopen; never read by replay (the media is authoritative at
+     *  mount). */
     std::vector<CommittedPage> committed_;
     /** Pages of the live chain / snapshot — the set the next publish
      *  frees after its epoch bump is durable. */

@@ -87,18 +87,6 @@ SsdModel::timeChainRead(uint64_t hops, uint64_t fanout_pages,
     return SimTime::max(total, fanout_total);
 }
 
-SimTime
-SsdModel::timeBatchWrite(uint64_t pages) const
-{
-    if (pages == 0) {
-        return SimTime();
-    }
-    // Writes stream through the internal link; program time is hidden by
-    // channel interleaving at this batch granularity.
-    return config_.read_latency +
-           SimTime::transfer(pages * kPageSize, config_.internal_bw_bps);
-}
-
 Status
 SsdModel::writePage(PageId id, std::span<const uint8_t> data)
 {

@@ -137,10 +137,6 @@ class SsdModel
     SimTime timeChainRead(uint64_t hops, uint64_t fanout_pages,
                           Link link) const;
 
-    /** Time to write @p pages (treated like batched reads; NAND program
-     *  time folds into the same bandwidth envelope at this fidelity). */
-    SimTime timeBatchWrite(uint64_t pages) const;
-
     // --- metered data operations ---------------------------------------
 
     /** Allocates a page (no modeled cost; allocation is bookkeeping). */

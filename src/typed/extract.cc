@@ -68,16 +68,15 @@ tryRfc3339(std::string_view candidate, TypedKey *out)
     return true;
 }
 
+// The registry, in ladder order (tried first to last per candidate).
+// Each extractor tries the whole candidate token and returns false when
+// it is not its value family.
 // MAC before IPv6: "aa:bb:cc:dd:ee:ff" is also parseable as hex
 // groups, and the 17-byte two-nibble form is the stronger signal.
 // IPv4 before hex id keeps "10101010" unambiguous (it has no dots, so
 // the order only matters for documentation).
-constexpr Extractor kRegistry[] = {
-    {"ip4", TypedKind::kIp4, tryIp4},
-    {"mac", TypedKind::kMac, tryMac},
-    {"ip6", TypedKind::kIp6, tryIp6},
-    {"hexid", TypedKind::kHexId, tryHexId},
-    {"rfc3339", TypedKind::kTimestamp, tryRfc3339},
+constexpr bool (*kRegistry[])(std::string_view, TypedKey *) = {
+    tryIp4, tryMac, tryIp6, tryHexId, tryRfc3339,
 };
 
 bool
@@ -155,8 +154,8 @@ tryCandidate(std::string_view candidate, TypedKey *out)
     if (candidate.empty() || !mayStartValue(candidate.front())) {
         return false;
     }
-    for (const Extractor &e : kRegistry) {
-        if (e.parse(candidate, out)) {
+    for (auto parse : kRegistry) {
+        if (parse(candidate, out)) {
             return true;
         }
     }
@@ -164,12 +163,6 @@ tryCandidate(std::string_view candidate, TypedKey *out)
 }
 
 } // namespace
-
-std::span<const Extractor>
-extractors()
-{
-    return kRegistry;
-}
 
 void
 extractTokens(std::span<const std::string_view> tokens, const KeySink &sink)

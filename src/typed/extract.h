@@ -31,18 +31,6 @@
 
 namespace mithril::typed {
 
-/** One registered extractor: a named, kind-tagged token recognizer. */
-struct Extractor {
-    const char *name;
-    TypedKind kind;
-    /** Tries the whole candidate token; false when it is not this
-     *  extractor's value family. */
-    bool (*parse)(std::string_view candidate, TypedKey *out);
-};
-
-/** The registry, in ladder order (tried first to last per candidate). */
-std::span<const Extractor> extractors();
-
 /** Receives each extracted key; occurrence order follows the line. */
 using KeySink = std::function<void(const TypedKey &)>;
 

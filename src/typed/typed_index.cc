@@ -323,114 +323,6 @@ TypedIndex::pagesForLines(std::span<const uint64_t> lines) const
     return pages;
 }
 
-void
-TypedIndex::serialize(std::vector<uint8_t> *out) const
-{
-    putLe(*out, kTypedMagic);
-    putLe(*out, kTypedVersion);
-    putLe(*out, static_cast<uint64_t>(keys_.size()));
-    for (const auto &[key, entry] : keys_) {
-        out->push_back(static_cast<uint8_t>(key.kind));
-        putLe(*out, static_cast<uint32_t>(key.bytes.size()));
-        out->insert(out->end(), key.bytes.begin(), key.bytes.end());
-        putLe(*out, static_cast<uint64_t>(entry.pending.size()));
-        for (uint64_t line : entry.pending) {
-            putLe(*out, line);
-        }
-        putLe(*out, static_cast<uint64_t>(entry.pages.size()));
-        for (storage::PageId page : entry.pages) {
-            putLe(*out, page);
-        }
-    }
-    putLe(*out, static_cast<uint64_t>(page_dir_.size()));
-    for (const PageSpan &span : page_dir_) {
-        putLe(*out, span.page);
-        putLe(*out, span.first_line);
-        putLe(*out, span.line_count);
-    }
-}
-
-Status
-TypedIndex::deserialize(std::span<const uint8_t> in)
-{
-    size_t pos = 0;
-    auto need = [&](size_t n) { return in.size() - pos >= n; };
-    auto fail = [] {
-        return Status::corruptData("typed index blob malformed");
-    };
-    if (!need(16) || getLe<uint32_t>(&in[pos]) != kTypedMagic
-        || getLe<uint32_t>(&in[pos + 4]) != kTypedVersion) {
-        return fail();
-    }
-    uint64_t key_count = getLe<uint64_t>(&in[pos + 8]);
-    pos += 16;
-    std::map<TypedKey, KeyEntry> keys;
-    for (uint64_t k = 0; k < key_count; ++k) {
-        if (!need(5)) {
-            return fail();
-        }
-        TypedKey key;
-        key.kind = static_cast<TypedKind>(in[pos]);
-        uint32_t len = getLe<uint32_t>(&in[pos + 1]);
-        pos += 5;
-        if (!need(len)) {
-            return fail();
-        }
-        key.bytes.assign(in.begin() + static_cast<ptrdiff_t>(pos),
-                         in.begin() + static_cast<ptrdiff_t>(pos + len));
-        pos += len;
-        KeyEntry entry;
-        if (!need(8)) {
-            return fail();
-        }
-        uint64_t pending = getLe<uint64_t>(&in[pos]);
-        pos += 8;
-        if (pending > (in.size() - pos) / 8) {
-            return fail();
-        }
-        entry.pending.reserve(pending);
-        for (uint64_t i = 0; i < pending; ++i) {
-            entry.pending.push_back(getLe<uint64_t>(&in[pos]));
-            pos += 8;
-        }
-        if (!need(8)) {
-            return fail();
-        }
-        uint64_t pages = getLe<uint64_t>(&in[pos]);
-        pos += 8;
-        if (pages > (in.size() - pos) / 8) {
-            return fail();
-        }
-        entry.pages.reserve(pages);
-        for (uint64_t i = 0; i < pages; ++i) {
-            entry.pages.push_back(getLe<uint64_t>(&in[pos]));
-            pos += 8;
-        }
-        keys.emplace(std::move(key), std::move(entry));
-    }
-    if (!need(8)) {
-        return fail();
-    }
-    uint64_t dir_count = getLe<uint64_t>(&in[pos]);
-    pos += 8;
-    if (dir_count > (in.size() - pos) / 24) {
-        return fail();
-    }
-    std::vector<PageSpan> dir;
-    dir.reserve(dir_count);
-    for (uint64_t i = 0; i < dir_count; ++i) {
-        PageSpan span{};
-        span.page = getLe<uint64_t>(&in[pos]);
-        span.first_line = getLe<uint64_t>(&in[pos + 8]);
-        span.line_count = getLe<uint64_t>(&in[pos + 16]);
-        pos += 24;
-        dir.push_back(span);
-    }
-    keys_ = std::move(keys);
-    page_dir_ = std::move(dir);
-    return Status::ok();
-}
-
 size_t
 TypedIndex::memoryFootprint() const
 {

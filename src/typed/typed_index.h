@@ -106,15 +106,6 @@ class TypedIndex
     /** Distinct keys currently tracked (tests/diagnostics). */
     size_t keyCount() const { return keys_.size(); }
 
-    /** Serializes the in-memory state (key directory, page directory)
-     *  for device-image persistence; posting pages live in the shared
-     *  SsdModel and persist with it. */
-    void serialize(std::vector<uint8_t> *out) const;
-
-    /** Restores state produced by serialize().
-     *  @retval kCorruptData malformed blob. */
-    Status deserialize(std::span<const uint8_t> in);
-
     size_t memoryFootprint() const;
 
   private:

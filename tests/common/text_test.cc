@@ -28,6 +28,19 @@ TEST(SplitTokensTest, EmptyAndAllDelims)
     EXPECT_TRUE(splitTokens("   \t ").empty());
 }
 
+TEST(SplitTokensTest, DelimitersAreSpaceTabAndCarriageReturn)
+{
+    constexpr std::string_view kDelims = " \t\r";
+    for (int b = 0; b < 256; ++b) {
+        const char c = static_cast<char>(b);
+        const bool delim = kDelims.find(c) != std::string_view::npos;
+        EXPECT_EQ(isDelimiter(c), delim) << "byte " << b;
+        const std::string line = std::string("a") + c + "b";
+        const size_t want = delim ? 2 : 1;
+        EXPECT_EQ(splitTokens(line).size(), want) << "byte " << b;
+    }
+}
+
 TEST(ForEachTokenTest, ColumnsCount)
 {
     std::vector<uint32_t> cols;

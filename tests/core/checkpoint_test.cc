@@ -17,7 +17,8 @@
  *                    or post-checkpoint superblock, never a mix;
  *   reclamation:     drained segments return to the allocator, so the
  *                    physical footprint does not grow monotonically;
- *   edges:           empty store, sealed store, and image round-trips.
+ *   edges:           empty store, sealed store, and device-image
+ *                    round-trips.
  */
 #include <gtest/gtest.h>
 
@@ -250,29 +251,30 @@ TEST_F(CheckpointTest, SegmentCleanerReclaimsDrainedSegments)
 
 TEST_F(CheckpointTest, HostImageRoundTripsACheckpointedStore)
 {
+    // A checkpointed store goes to a device image and back: the mount
+    // replays the snapshot, and after reopen() the store ingests and
+    // checkpoints again.
     std::vector<std::string> lines = corpus(500);
     MithriLog log;
     ingestAll(&log, lines);
     ASSERT_TRUE(log.flush().isOk());
     ASSERT_TRUE(log.checkpoint().isOk());
     uint64_t snapshot = log.journalSnapshotRecords();
-    ASSERT_TRUE(log.saveImage(path_).isOk());
+    ASSERT_GT(snapshot, 0u);
+    ASSERT_TRUE(log.saveDeviceImage(path_).isOk());
 
-    // The host image carries the freed-slot list and the journal
-    // cursor: the reloaded store knows its snapshot and can checkpoint
-    // again.
-    MithriLog loaded;
-    ASSERT_TRUE(loaded.loadImage(path_).isOk());
-    EXPECT_EQ(loaded.lineCount(), lines.size());
-    EXPECT_EQ(loaded.journalSnapshotRecords(), snapshot);
-    EXPECT_EQ(loaded.checkpoints(), 1u);
+    MithriLog mounted;
+    ASSERT_TRUE(mounted.recover(path_).isOk());
+    EXPECT_EQ(mounted.lineCount(), lines.size());
+    EXPECT_EQ(mounted.recoveredSnapshotRecords(), snapshot);
     QueryResult r;
-    ASSERT_TRUE(loaded.run(mustParse("payload"), &r).isOk());
+    ASSERT_TRUE(mounted.run(mustParse("payload"), &r).isOk());
     EXPECT_EQ(r.matched_lines, lines.size());
 
-    ingestAll(&loaded, lines);
-    ASSERT_TRUE(loaded.checkpoint().isOk());
-    EXPECT_EQ(loaded.durableLineCount(), lines.size() * 2);
+    ASSERT_TRUE(mounted.reopen().isOk());
+    ingestAll(&mounted, lines);
+    ASSERT_TRUE(mounted.checkpoint().isOk());
+    EXPECT_EQ(mounted.durableLineCount(), lines.size() * 2);
 }
 
 TEST_F(CheckpointTest, CutInsideCheckpointLosesNothingAcknowledged)

@@ -1,8 +1,9 @@
 /**
  * @file
- * Device-image persistence: a saved MithriLog system restored into a
- * fresh instance must answer every query identically — same matches,
- * same page pruning — and keep accepting ingest afterwards.
+ * Device-image persistence, the one image format: a store saved with
+ * saveDeviceImage() and mounted with recover() on a fresh instance must
+ * answer every query identically — same matches, same page pruning —
+ * and keep accepting ingest after reopen().
  */
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/bits.h"
 #include "common/hash.h"
@@ -47,12 +49,6 @@ writeBytes(const std::string &path, const std::string &bytes)
     std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
 }
 
-uint64_t
-countAt(const std::string &image, size_t offset)
-{
-    return getLe<uint64_t>(asByteSpan(image).data() + offset);
-}
-
 /** @p image with the 8-byte little-endian count at @p offset forged. */
 std::string
 withCount(std::string image, size_t offset, uint64_t count)
@@ -65,25 +61,6 @@ withCount(std::string image, size_t offset, uint64_t count)
 
 /** Offset of the page count in a device image (after magic, version). */
 constexpr size_t kDevicePageCount = 8;
-
-/** Offsets of the count fields of a host image, in the order
- *  saveImage() writes them; each list or blob follows its count. */
-struct HostImageCounts {
-    size_t data_pages, freed, index_blob, typed_blob, cursor, pages;
-};
-
-HostImageCounts
-hostImageCounts(const std::string &image)
-{
-    HostImageCounts at{};
-    at.data_pages = 8 + 6 * 8;  // magic, version, six scalar fields
-    at.freed = at.data_pages + 8 + 8 * countAt(image, at.data_pages);
-    at.index_blob = at.freed + 8 + 8 * countAt(image, at.freed);
-    at.typed_blob = at.index_blob + 8 + countAt(image, at.index_blob);
-    at.cursor = at.typed_blob + 8 + countAt(image, at.typed_blob);
-    at.pages = at.cursor + 8 + countAt(image, at.cursor);
-    return at;
-}
 
 /** Temp file path cleaned up by each test. */
 class PersistenceTest : public ::testing::Test
@@ -111,10 +88,11 @@ TEST_F(PersistenceTest, RoundTripPreservesQueries)
 
     MithriLog original;
     ASSERT_TRUE(original.ingestText(text).isOk());
-    ASSERT_TRUE(original.saveImage(path_).isOk());
+    ASSERT_TRUE(original.flush().isOk());
+    ASSERT_TRUE(original.saveDeviceImage(path_).isOk());
 
     MithriLog restored;
-    ASSERT_TRUE(restored.loadImage(path_).isOk());
+    ASSERT_TRUE(restored.recover(path_).isOk());
 
     EXPECT_EQ(restored.lineCount(), original.lineCount());
     EXPECT_EQ(restored.rawBytes(), original.rawBytes());
@@ -134,10 +112,12 @@ TEST_F(PersistenceTest, IngestContinuesAfterRestore)
 {
     MithriLog original;
     ASSERT_TRUE(original.ingestText("before save alpha\n").isOk());
-    ASSERT_TRUE(original.saveImage(path_).isOk());
+    ASSERT_TRUE(original.flush().isOk());
+    ASSERT_TRUE(original.saveDeviceImage(path_).isOk());
 
     MithriLog restored;
-    ASSERT_TRUE(restored.loadImage(path_).isOk());
+    ASSERT_TRUE(restored.recover(path_).isOk());
+    ASSERT_TRUE(restored.reopen().isOk());
     ASSERT_TRUE(restored.ingestText("after load beta\n").isOk());
     EXPECT_TRUE(restored.flush().isOk());
 
@@ -151,63 +131,48 @@ TEST_F(PersistenceTest, LoadRequiresFreshSystem)
 {
     MithriLog original;
     ASSERT_TRUE(original.ingestText("x y z\n").isOk());
-    ASSERT_TRUE(original.saveImage(path_).isOk());
+    ASSERT_TRUE(original.flush().isOk());
+    ASSERT_TRUE(original.saveDeviceImage(path_).isOk());
 
     MithriLog dirty;
     ASSERT_TRUE(dirty.ingestText("already has data\n").isOk());
     EXPECT_TRUE(dirty.flush().isOk());
-    EXPECT_EQ(dirty.loadImage(path_).code(),
-              StatusCode::kInvalidArgument);
+    EXPECT_EQ(dirty.recover(path_).code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(PersistenceTest, MissingFileFails)
 {
     MithriLog system;
-    EXPECT_FALSE(system.loadImage("/nonexistent/dir/image.bin").isOk());
+    EXPECT_FALSE(system.recover("/nonexistent/dir/image.bin").isOk());
 }
 
 TEST_F(PersistenceTest, TruncatedImageRejected)
 {
     MithriLog original;
     ASSERT_TRUE(original.ingestText("some content here\n").isOk());
-    ASSERT_TRUE(original.saveImage(path_).isOk());
-    const std::string host = readBytes(path_);
+    ASSERT_TRUE(original.flush().isOk());
     ASSERT_TRUE(original.saveDeviceImage(path_).isOk());
     const std::string device = readBytes(path_);
+    ASSERT_GT(device.size(), 16u);
 
-    // One row per count field of both image formats. Each forged count
-    // times its element size wraps 64 bits to a small number, so a
-    // loader that multiplies before it compares reads (or reserves)
-    // far past the end of the file.
-    const HostImageCounts at = hostImageCounts(host);
-    constexpr uint64_t kWrapsTimes8 = 1ull << 61;
-    constexpr uint64_t kWrapsPlus8 = ~0ull - 7;
+    // The forged page count times the page size wraps 64 bits to a
+    // small number, so a loader that multiplies before it compares
+    // reads far past the end of the file.
     constexpr uint64_t kWrapsTimesPage = (1ull << 52) + 1;
     struct Row {
         const char *what;
-        bool device;
         std::string image;
     };
     const Row rows[] = {
-        {"host image cut in half", false, host.substr(0, host.size() / 2)},
-        {"data-page count", false,
-         withCount(host, at.data_pages, kWrapsTimes8)},
-        {"freed-id count", false, withCount(host, at.freed, kWrapsTimes8)},
-        {"index-blob size", false,
-         withCount(host, at.index_blob, kWrapsPlus8)},
-        {"typed-blob size", false,
-         withCount(host, at.typed_blob, kWrapsPlus8)},
-        {"journal-cursor size", false,
-         withCount(host, at.cursor, kWrapsPlus8)},
-        {"page count", false, withCount(host, at.pages, kWrapsTimesPage)},
-        {"device page count", true,
+        {"device page count",
          withCount(device, kDevicePageCount, kWrapsTimesPage)},
+        {"device image cut in half", device.substr(0, device.size() / 2)},
+        {"header shorter than 16 bytes", device.substr(0, 12)},
     };
     for (const Row &row : rows) {
         writeBytes(path_, row.image);
         MithriLog restored;
-        Status st = row.device ? restored.recover(path_)
-                               : restored.loadImage(path_);
+        Status st = restored.recover(path_);
         EXPECT_EQ(st.code(), StatusCode::kCorruptData)
             << row.what << ": " << st.toString();
     }
@@ -216,9 +181,9 @@ TEST_F(PersistenceTest, TruncatedImageRejected)
 /**
  * The bytes a store leaves behind are its format: an ingest-path
  * change that claims "bytes unchanged" must reproduce the device
- * image, the host image and the recovered image exactly. The
- * constants were recorded from the ingest path that re-sized every
- * open LZAH page per line and kept tokens in a std::set.
+ * image and the recovered image exactly. The constants were recorded
+ * from the ingest path that re-sized every open LZAH page per line
+ * and kept tokens in a std::set.
  */
 TEST_F(PersistenceTest, ImageDigestsAreStable)
 {
@@ -245,9 +210,6 @@ TEST_F(PersistenceTest, ImageDigestsAreStable)
 
     ASSERT_TRUE(store.saveDeviceImage(path_).isOk());
     const std::string device = readBytes(path_);
-    ASSERT_TRUE(store.saveImage(path_ + ".host").isOk());
-    const std::string host = readBytes(path_ + ".host");
-    std::remove((path_ + ".host").c_str());
 
     MithriLog recovered;
     ASSERT_TRUE(recovered.recover(path_).isOk());
@@ -256,21 +218,27 @@ TEST_F(PersistenceTest, ImageDigestsAreStable)
     const std::string recovered_device = readBytes(path_);
 
     EXPECT_EQ(hash64(device), 0x8064c42b7054f364ull);
-    EXPECT_EQ(hash64(host), 0x2544345bda2a965bull);
     EXPECT_EQ(hash64(recovered_device), 0x9206ee6bc6519a5eull);
 }
 
 TEST_F(PersistenceTest, ConfigMismatchRejected)
 {
+    // recover() reads one format, the device image. A file that
+    // carries the retired host-image header ("MLOG", version 7) in
+    // front of otherwise valid device-image bytes is foreign.
     MithriLog original;
     ASSERT_TRUE(original.ingestText("payload line\n").isOk());
-    ASSERT_TRUE(original.saveImage(path_).isOk());
+    ASSERT_TRUE(original.flush().isOk());
+    ASSERT_TRUE(original.saveDeviceImage(path_).isOk());
+    std::vector<uint8_t> header;
+    putLe<uint32_t>(header, 0x474f4c4d);  // "MLOG"
+    putLe<uint32_t>(header, 7);
+    std::string image = readBytes(path_);
+    image.replace(0, header.size(), asChars(header));
+    writeBytes(path_, image);
 
-    MithriLogConfig other;
-    other.index.hash_entries = 1u << 10;  // different table size
-    MithriLog restored(other);
-    EXPECT_EQ(restored.loadImage(path_).code(),
-              StatusCode::kCorruptData);
+    MithriLog restored;
+    EXPECT_EQ(restored.recover(path_).code(), StatusCode::kCorruptData);
 }
 
 } // namespace

@@ -1,5 +1,5 @@
-// Known-bad fixture companion: declares a Status-returning API so the
-// dropped-status rule has a name to track.
+// Known-bad fixture companion: declares the Status-returning API that
+// bad_dropped_status.cc drops.
 #ifndef MITHRIL_TESTS_LINT_FIXTURES_BAD_API_H
 #define MITHRIL_TESTS_LINT_FIXTURES_BAD_API_H
 

@@ -1,4 +1,4 @@
-// Known-bad fixture: a Status-returning call used as a bare statement.
+// Known-bad fixture: -Werror=unused-result must reject line 9.
 #include "bad_api.h"
 
 namespace mithril {
@@ -6,7 +6,7 @@ namespace mithril {
 void
 sealAll()
 {
-    sealFixturePage(0);  // line 9: dropped-status
+    sealFixturePage(0);  // line 9: dropped Status
     Status kept = sealFixturePage(1);  // consumed: no finding
     (void)kept;
 }

@@ -11,7 +11,7 @@
 
 namespace mithril {
 
-// Near-miss for dropped-status: returns a value type, not Status.
+// Defined in clean_fixture.cc; returns a value type, not Status.
 uint64_t fixtureCount();
 
 // Near-miss for cycle-to-time: a cycles identifier with additive

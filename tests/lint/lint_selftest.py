@@ -51,13 +51,6 @@ expect(rc == 1, "bad_cycle_math.cc exits 1")
 expect_finding(out, "bad_cycle_math.cc", 8, "cycle-to-time")
 expect_finding(out, "bad_cycle_math.cc", 14, "cycle-to-time")
 
-# dropped-status needs the declaring header in the same scan set.
-rc, out = run_lint("bad_api.h", "bad_dropped_status.cc")
-expect(rc == 1, "bad_dropped_status.cc exits 1")
-expect_finding(out, "bad_dropped_status.cc", 9, "dropped-status")
-expect("bad_dropped_status.cc:10" not in out,
-       "consumed Status on line 10 is not flagged")
-
 rc, out = run_lint("bad_rand.cc")
 expect(rc == 1, "bad_rand.cc exits 1")
 expect_finding(out, "bad_rand.cc", 8, "banned-rand-time")

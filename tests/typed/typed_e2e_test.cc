@@ -8,6 +8,7 @@
  * journal-replay recovery.
  */
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <memory>
@@ -70,10 +71,13 @@ class TypedE2eTest : public ::testing::Test
         loggen::IncidentSpec spec;
         spec.background_bytes = 256 << 10;  // keep the suite quick
         text_ = loggen::generateIncident(spec, &truth_);
+        // One file per test and per process: ctest runs the tests of
+        // this suite concurrently, and each TearDown removes its path.
         path_ = ::testing::TempDir() + "typed_e2e_" +
-                std::to_string(::testing::UnitTest::GetInstance()
-                                   ->random_seed()) +
-                ".img";
+                ::testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name() +
+                "_" + std::to_string(::getpid()) + ".img";
     }
 
     void TearDown() override { std::remove(path_.c_str()); }

@@ -8,9 +8,6 @@ repo-specific invariants no generic tool knows about:
                      throughput inside src/common/simtime.h and src/sim/;
                      everywhere else they must flow through SimTime so
                      modeled GB/s stays structurally derived.
-  dropped-status     a call to an unambiguously Status-returning function
-                     used as a bare statement (belt and braces on top of
-                     the [[nodiscard]] + -Werror compiler layer).
   banned-rand-time   rand()/srand()/time()/std::random_device break
                      bit-for-bit reproducibility; use common/rng.h.
   raw-new-delete     no naked new/delete outside arena code; use
@@ -109,8 +106,6 @@ ALLOW = {
 RULE_HINTS = {
     "cycle-to-time": "convert via SimTime::cycles(n, hz) and "
                      "throughputBps() from common/simtime.h",
-    "dropped-status": "assign the Status, use MITHRIL_RETURN_IF_ERROR, "
-                      "or (void)-cast with a justification comment",
     "banned-rand-time": "use mithril::Rng from common/rng.h with an "
                         "explicit seed",
     "raw-new-delete": "use std::vector/std::unique_ptr, or keep arena "
@@ -545,82 +540,6 @@ def check_include_order(relpath, code):
 
 
 # ---------------------------------------------------------------------------
-# dropped-status: two-pass cross-file rule.
-
-_STATUS_DECL_RE = re.compile(
-    r"(?:^|[\s;}])(?:\[\[nodiscard\]\]\s+)?(?:virtual\s+)?(?:static\s+)?"
-    r"(?P<ret>[A-Za-z_][\w:]*)\s*\n?\s*(?P<name>[A-Za-z_]\w*)\s*\(",
-    re.MULTILINE)
-_KEYWORDS = {"if", "while", "for", "switch", "return", "sizeof", "case",
-             "catch", "do", "else", "new", "delete", "operator"}
-# Names shared with STL containers/algorithms: a bare `set.insert(x);`
-# would be indistinguishable from CuckooTable::insert, so these stay
-# with the compiler layer ([[nodiscard]] Status + -Werror) only.
-_STL_NAMES = {"insert", "erase", "emplace", "emplace_back", "append",
-              "assign", "push_back", "pop_back", "swap", "merge",
-              "reserve", "resize", "clear", "count", "find", "at",
-              "get", "reset", "write", "read", "run", "close", "open"}
-
-
-def collect_status_names(files):
-    """Function names that ONLY ever appear returning Status.
-
-    A name also declared with any other return type anywhere in the tree
-    is ambiguous and skipped — the compiler's [[nodiscard]] layer still
-    covers those call sites.
-    """
-    status_names, other_names = set(), set()
-    for relpath, code in files:
-        if not relpath.endswith((".h", ".hpp")):
-            continue
-        text = "\n".join(code)
-        for m in _STATUS_DECL_RE.finditer(text):
-            ret, name = m.group("ret"), m.group("name")
-            if name in _KEYWORDS or ret in _KEYWORDS:
-                continue
-            if ret == "Status":
-                status_names.add(name)
-            else:
-                other_names.add(name)
-    return status_names - other_names - _STL_NAMES
-
-
-_CONSUMED_RE = re.compile(
-    r"^\s*(?:return\b|=|\w[\w:<>,&*\s]*\s[&*]?\w+\s*=|\(void\)|"
-    r"MITHRIL_RETURN_IF_ERROR|MITHRIL_ASSERT|EXPECT_|ASSERT_|expectOk)")
-
-
-def check_dropped_status(relpath, code, status_names):
-    if not status_names:
-        return
-    call_re = re.compile(
-        r"^\s*(?:[\w\]\[]+(?:\.|->))?(?P<name>[A-Za-z_]\w*)\s*\(")
-    for i, line in enumerate(code, start=1):
-        m = call_re.match(line)
-        if m is None or m.group("name") not in status_names:
-            continue
-        if _CONSUMED_RE.match(line):
-            continue
-        # Continuation of a multi-line expression (e.g. the argument of
-        # MITHRIL_RETURN_IF_ERROR) is not a statement start.
-        prev = next((code[j].rstrip() for j in range(i - 2, -1, -1)
-                     if code[j].strip()), ";")
-        if not prev.endswith((";", "{", "}", ":")):
-            continue
-        # Join continuation lines to see how the statement ends.
-        stmt = line
-        j = i
-        while not stmt.rstrip().endswith((";", "{", "}")) \
-                and j < len(code):
-            stmt += code[j]
-            j += 1
-        if re.search(r"\)\s*;\s*$", stmt.rstrip()):
-            yield (i, "dropped-status",
-                   f"result of Status-returning {m.group('name')}() "
-                   "is discarded")
-
-
-# ---------------------------------------------------------------------------
 # Driver.
 
 SIMPLE_RULES = (
@@ -691,9 +610,6 @@ def lint(root, paths):
             return 2
         files.append((rel, raw, strip_code(raw), suppressions(raw)))
 
-    status_names = collect_status_names(
-        [(rel, code) for rel, _, code, _ in files])
-
     for rel, raw, code, allow_at in files:
         for bad_line in allow_at.get("missing-why", []):
             findings.append((rel, bad_line, "suppression",
@@ -710,7 +626,6 @@ def lint(root, paths):
             # blanks the "path" string of an #include line.
             lines = raw if check in _RAW_RULES else code
             per_file.extend(check(rel, lines))
-        per_file.extend(check_dropped_status(rel, code, status_names))
         for line, rule, message in per_file:
             if rule in allow_at.get(line, set()):
                 continue
@@ -724,8 +639,7 @@ def lint(root, paths):
         print(f"mithril-lint: {len(findings)} finding(s)",
               file=sys.stderr)
         return 1
-    print(f"mithril-lint: clean ({len(files)} files, "
-          f"{len(status_names)} Status-returning names tracked)")
+    print(f"mithril-lint: clean ({len(files)} files)")
     return 0
 
 
