@@ -2,23 +2,20 @@
 
 #include <gtest/gtest.h>
 
-#include "compress/lzah.h"
+#include <memory>
+#include <span>
+
+#include "common/bits.h"
+#include "common/hash.h"
+#include "loggen/log_generator.h"
 #include "query/parser.h"
+#include "random_programs.h"
+#include "templates/prefix_tree.h"
 
 namespace mithril::accel {
 namespace {
 
-/** Compresses lines into LZAH pages and returns owning buffers. */
-std::vector<compress::Bytes>
-makePages(const std::vector<std::string> &lines)
-{
-    compress::LzahPageEncoder enc;
-    for (const std::string &line : lines) {
-        EXPECT_NE(enc.addLine(line), compress::AddLineResult::kRejected);
-    }
-    enc.flush();
-    return std::move(enc.pages());
-}
+using test::makePages;
 
 std::vector<compress::ByteView>
 views(const std::vector<compress::Bytes> &pages)
@@ -174,6 +171,185 @@ TEST(AcceleratorTest, KeepLinesDisabledStillCounts)
     EXPECT_EQ(result.lines_kept, 2u);
     EXPECT_TRUE(result.kept.empty());
     EXPECT_EQ(result.kept_per_query[0], 2u);
+}
+
+/** A hash64 chain over values and byte strings, in the order added. */
+class Digest
+{
+  public:
+    void
+    add(uint64_t v)
+    {
+        h_ = hash64(&v, sizeof v, h_);
+    }
+
+    void
+    add(std::string_view s)
+    {
+        add(s.size());
+        h_ = hash64(s.data(), s.size(), h_);
+    }
+
+    uint64_t value() const { return h_; }
+
+  private:
+    uint64_t h_ = 0;
+};
+
+/** Adds every field of @p r to @p d. */
+void
+digestResult(const AccelResult &r, Digest *d)
+{
+    d->add(r.kept.size());
+    for (const KeptLine &k : r.kept) {
+        d->add(k.text);
+        d->add(k.query_mask);
+        d->add(k.page_index);
+        d->add(k.line_in_page);
+    }
+    d->add(r.lines_in);
+    d->add(r.lines_kept);
+    d->add(r.kept_per_query.size());
+    for (uint64_t n : r.kept_per_query) {
+        d->add(n);
+    }
+    d->add(r.line_masks.size());
+    for (uint64_t m : r.line_masks) {
+        d->add(m);
+    }
+    d->add(r.cycles);
+    d->add(r.stall_cycles);
+    d->add(r.decompressed_bytes);
+    d->add(r.padded_bytes);
+    d->add(r.tokenized_words);
+    d->add(r.useful_token_bytes);
+    d->add(r.pages_with_matches);
+    d->add(r.text);
+    d->add(asChars(r.raw));
+}
+
+/**
+ * Lines of every length 0-40, so a line's '\n' lands at every offset
+ * of a 16-byte word: delimiter-only lines, single tokens (longer than
+ * a word from 17 bytes on), and vocabulary words, some cut short,
+ * between runs of mixed delimiters.
+ */
+std::vector<std::string>
+lengthSweepCorpus(Rng *rng)
+{
+    constexpr char kDelims[] = {' ', '\t', '\r'};
+    std::vector<std::string> out;
+    for (int rep = 0; rep < 120; ++rep) {
+        for (size_t len = 0; len <= 40; ++len) {
+            std::string line;
+            const char *word = test::kVocab[rng->below(
+                std::size(test::kVocab))];
+            switch (rep % 3) {
+            case 0:
+                while (line.size() < len) {
+                    line += kDelims[rng->below(3)];
+                }
+                break;
+            case 1:
+                while (line.size() < len) {
+                    line += word;
+                }
+                break;
+            default:
+                while (line.size() < len) {
+                    line += test::kVocab[rng->below(
+                        std::size(test::kVocab))];
+                    for (size_t r = 1 + rng->below(3); r > 0; --r) {
+                        line += kDelims[rng->below(3)];
+                    }
+                }
+                break;
+            }
+            line.resize(len);
+            out.push_back(std::move(line));
+        }
+    }
+    return out;
+}
+
+TEST(AcceleratorTest, ResultDigestIsStable)
+{
+    // Pins every field the filter and decompress modes return, so a
+    // change to the emulation's host code cannot move a kept line, a
+    // mask or a cycle unnoticed.
+    std::vector<std::vector<std::string>> corpora;
+    for (const loggen::DatasetSpec &spec : loggen::hpc4Datasets()) {
+        loggen::LogGenerator gen(spec);
+        std::vector<std::string> lines;
+        for (int i = 0; i < 20000; ++i) {
+            lines.push_back(gen.line());
+        }
+        corpora.push_back(std::move(lines));
+    }
+    Rng rng(22);
+    corpora.push_back(lengthSweepCorpus(&rng));
+
+    // EquivalenceTest's random programs, alone and batched in pairs
+    // (capacity failures fall back to the host and are skipped), plus
+    // one column-constrained program.
+    const AccelConfig config{.collect_masks = true};
+    std::vector<std::unique_ptr<Accelerator>> accels;
+    for (int i = 0; i < 6; ++i) {
+        std::vector<query::Query> batch{test::randomQuery(&rng)};
+        if (i % 2 == 1) {
+            batch.push_back(test::randomQuery(&rng));
+        }
+        auto accel = std::make_unique<Accelerator>(config);
+        Status st = accel->configure(batch);
+        if (!st.isOk()) {
+            ASSERT_EQ(st.code(), StatusCode::kCapacityExceeded)
+                << st.toString();
+            continue;
+        }
+        accels.push_back(std::move(accel));
+    }
+    ASSERT_GE(accels.size(), 4u);
+    const std::vector<templates::PrefixTemplate> columns{
+        {{{6, "RAS"}, {7, "KERNEL"}}},
+        {{{8, "pbs_mom:"}}},
+        {{{0, "-"}, {4, "Dec"}}},
+        {{{1, "error"}}},
+    };
+    FilterProgram column_program;
+    ASSERT_TRUE(templates::compilePrefixTemplates(columns,
+                                                  &column_program)
+                    .isOk());
+    accels.push_back(std::make_unique<Accelerator>(config));
+    accels.back()->configureProgram(std::move(column_program));
+    Accelerator decompressor(config);
+
+    Digest digest;
+    uint64_t kept = 0;
+    for (const std::vector<std::string> &corpus : corpora) {
+        auto pages = makePages(corpus);
+        std::vector<compress::ByteView> all = views(pages);
+        for (size_t batch : {1u, 3u, 9u}) {
+            for (size_t off = 0; off < all.size(); off += batch) {
+                std::span<const compress::ByteView> sub =
+                    std::span(all).subspan(
+                        off, std::min(batch, all.size() - off));
+                for (const auto &accel : accels) {
+                    AccelResult r;
+                    ASSERT_TRUE(accel->process(sub, Mode::kFilter, &r)
+                                    .isOk());
+                    kept += r.lines_kept;
+                    digestResult(r, &digest);
+                }
+                AccelResult text;
+                ASSERT_TRUE(decompressor
+                                .process(sub, Mode::kDecompress, &text)
+                                .isOk());
+                digestResult(text, &digest);
+            }
+        }
+    }
+    EXPECT_GT(kept, 0u);
+    EXPECT_EQ(digest.value(), 0x0f28ee3229c2af0dull) << std::hex << digest.value();
 }
 
 } // namespace
