@@ -25,7 +25,7 @@ main(int argc, char **argv)
         std::string text = gen.generate(4 << 20);
         accel::Tokenizer tokenizer;
         forEachLine(text, [&](std::string_view line) {
-            tokenizer.run(line);
+            tokenizer.run(line, [](std::string_view, uint16_t) {});
         });
         std::printf("%-12s %14llu %14llu %11.1f%%\n",
                     spec.name.c_str(),

@@ -76,7 +76,8 @@ BM_Tokenizer(benchmark::State &state)
     for (auto _ : state) {
         accel::Tokenizer tokenizer;
         forEachLine(text, [&](std::string_view line) {
-            benchmark::DoNotOptimize(tokenizer.run(line));
+            benchmark::DoNotOptimize(tokenizer.run(
+                line, [](std::string_view, uint16_t) {}));
         });
     }
     state.SetBytesProcessed(

@@ -12,8 +12,24 @@ constexpr size_t kMaxKicks = 512;
 } // namespace
 
 CuckooTable::CuckooTable(uint32_t rows)
-    : hashes_(rows), entries_(rows), row_token_(rows)
+    : hashes_(rows), entries_(rows), row_token_(rows),
+      index_(kIndexCells, kNoRow)
 {
+    MITHRIL_ASSERT(rows < kSharedCell);
+}
+
+void
+CuckooTable::indexRow(uint32_t row, bool moved)
+{
+    // Insertion never removes a token, so a cell is empty until its
+    // first token arrives and shared from its second one on; only the
+    // sole token of a cell moves its row there.
+    uint16_t &cell = index_[fingerprint(row_token_[row])];
+    if (cell == kSharedCell) {
+        return;
+    }
+    cell = (moved || cell == kNoRow) ? static_cast<uint16_t>(row)
+                                     : kSharedCell;
 }
 
 bool
@@ -116,10 +132,12 @@ CuckooTable::insert(std::string_view token, uint32_t set, bool negated,
     std::string incoming_token(token);
 
     uint32_t target = r0;
+    bool moved = false;  // incoming is an evicted member, not the new one
     for (size_t kick = 0; kick < kMaxKicks; ++kick) {
         if (!entries_[target].occupied) {
             entries_[target] = incoming;
             row_token_[target] = std::move(incoming_token);
+            indexRow(target, moved);
             ++occupied_;
             return Status::ok();
         }
@@ -130,12 +148,15 @@ CuckooTable::insert(std::string_view token, uint32_t set, bool negated,
         if (!entries_[alt_in].occupied) {
             entries_[alt_in] = incoming;
             row_token_[alt_in] = std::move(incoming_token);
+            indexRow(alt_in, moved);
             ++occupied_;
             return Status::ok();
         }
         // Evict the occupant of `target` to its alternate slot.
         std::swap(entries_[target], incoming);
         std::swap(row_token_[target], incoming_token);
+        indexRow(target, moved);
+        moved = true;
         uint32_t h0 = hashes_.h0(incoming_token);
         uint32_t h1 = hashes_.h1(incoming_token);
         target = (h0 == target) ? h1 : h0;
@@ -144,20 +165,31 @@ CuckooTable::insert(std::string_view token, uint32_t set, bool negated,
 }
 
 std::optional<uint32_t>
-CuckooTable::lookup(std::string_view token, uint16_t column) const
+CuckooTable::matchRow(uint32_t row, std::string_view token,
+                      uint16_t column) const
 {
-    uint32_t r0 = hashes_.h0(token);
-    uint32_t r1 = hashes_.h1(token);
-    for (uint32_t r : {r0, r1}) {
-        const CuckooEntry &e = entries_[r];
-        if (tokenEquals(e, token)) {
-            if (e.column != kAnyColumn && e.column != column) {
-                return std::nullopt;  // column constraint unsatisfied
-            }
-            return r;
-        }
+    const CuckooEntry &e = entries_[row];
+    if (!tokenEquals(e, token) ||
+        (e.column != kAnyColumn && e.column != column)) {
+        return std::nullopt;  // other token, or column unsatisfied
     }
-    return std::nullopt;
+    return row;
+}
+
+std::optional<uint32_t>
+CuckooTable::lookupCell(uint16_t cell, std::string_view token,
+                        uint16_t column) const
+{
+    if (cell != kSharedCell) {
+        return matchRow(cell, token, column);
+    }
+    // Two tokens share the fingerprint: probe both hash rows, as the
+    // hardware does for every token.
+    uint32_t r0 = hashes_.h0(token);
+    if (tokenEquals(entries_[r0], token)) {
+        return matchRow(r0, token, column);
+    }
+    return matchRow(hashes_.h1(token), token, column);
 }
 
 double

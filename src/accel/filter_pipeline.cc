@@ -1,6 +1,7 @@
 #include "accel/filter_pipeline.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/bits.h"
 
@@ -9,35 +10,27 @@ namespace mithril::accel {
 namespace {
 
 /**
- * Splits the padded (line-aligned-word) decompressor output back into
- * lines. The decompressor guarantees a word's bytes past a newline are
- * padding, so a '\n' always terminates both a line and a word.
+ * Invokes @p fn(line) for each line of padded (line-aligned-word)
+ * decompressor output, as a view into @p padded. A line starts at a
+ * word boundary and ends at the first '\n' after its start; the rest
+ * of that word is padding. Bytes after the last '\n' end no line:
+ * well-formed LZAH pages end every line.
  */
+template <typename Fn>
 void
-splitPaddedLines(std::span<const uint8_t> padded,
-                 std::vector<std::string> *lines)
+forEachPaddedLine(std::span<const uint8_t> padded, Fn &&fn)
 {
-    std::string current;
-    for (size_t off = 0; off + kDatapathBytes <= padded.size();
-         off += kDatapathBytes) {
-        const uint8_t *w = padded.data() + off;
-        size_t nl = kDatapathBytes;
-        for (size_t b = 0; b < kDatapathBytes; ++b) {
-            if (w[b] == '\n') {
-                nl = b;
-                break;
-            }
+    std::string_view words = asChars(
+        padded.data(), padded.size() - padded.size() % kDatapathBytes);
+    size_t start = 0;
+    while (start < words.size()) {
+        size_t nl = words.find('\n', start);
+        if (nl == std::string_view::npos) {
+            return;
         }
-        if (nl == kDatapathBytes) {
-            current.append(asChars(w, kDatapathBytes));
-        } else {
-            current.append(asChars(w, nl));
-            lines->push_back(std::move(current));
-            current.clear();
-        }
+        fn(words.substr(start, nl - start));
+        start = alignUp(nl + 1, kDatapathBytes);
     }
-    // Well-formed LZAH pages end every line; anything left over would
-    // indicate corruption, which lzahDecodePage already rejects.
 }
 
 } // namespace
@@ -88,24 +81,19 @@ FilterPipeline::process(std::span<const compress::ByteView> pages,
     }
 
     if (mode == Mode::kDecompress) {
-        compress::Bytes padded;
+        padded_.clear();
         for (const auto &page : pages) {
             MITHRIL_RETURN_IF_ERROR(
-                decompressor_.decodePage(page, &padded));
+                decompressor_.decodePage(page, &padded_));
         }
-        out->padded_bytes = padded.size();
-
-        std::vector<std::string> lines;
-        splitPaddedLines(padded, &lines);
-        for (const std::string &line : lines) {
-            out->decompressed_bytes += line.size() + 1;
-        }
-        out->lines_in = lines.size();
-        out->text.reserve(out->decompressed_bytes);
-        for (const std::string &line : lines) {
+        out->padded_bytes = padded_.size();
+        out->text.reserve(padded_.size());
+        forEachPaddedLine(padded_, [&](std::string_view line) {
             out->text += line;
             out->text += '\n';
-        }
+            ++out->lines_in;
+        });
+        out->decompressed_bytes = out->text.size();
         out->cycles = decompressor_.cycles();
         return Status::ok();
     }
@@ -118,44 +106,40 @@ FilterPipeline::process(std::span<const compress::ByteView> pages,
     // time — LZAH pages are line-self-contained — so acceptance can be
     // attributed per page (pages_with_matches); the round-robin line
     // index stays continuous across pages, matching the hardware
-    // scatter unit.
+    // scatter unit. Lines are views into the decoded page, so a kept
+    // line's text is copied before the next page reuses the buffer.
     constexpr size_t kGroup = kTokenizersPerPipeline /
                               kHashFiltersPerPipeline;
     out->kept_per_query.assign(64, 0);
-    compress::Bytes padded;
-    std::vector<std::string> lines;
     size_t line_idx = 0;
     uint32_t page_ord = 0;
     for (const auto &page : pages) {
-        padded.clear();
-        MITHRIL_RETURN_IF_ERROR(decompressor_.decodePage(page, &padded));
-        out->padded_bytes += padded.size();
-        lines.clear();
-        splitPaddedLines(padded, &lines);
-        out->lines_in += lines.size();
+        padded_.clear();
+        MITHRIL_RETURN_IF_ERROR(decompressor_.decodePage(page, &padded_));
+        out->padded_bytes += padded_.size();
         uint64_t kept_before = out->lines_kept;
         uint32_t in_page = 0;
-        for (const std::string &line : lines) {
+        forEachPaddedLine(padded_, [&](std::string_view line) {
+            ++out->lines_in;
             out->decompressed_bytes += line.size() + 1;
             size_t t = line_idx++ % kTokenizersPerPipeline;
-            TokenizedLine tokenized = tokenizers_[t].run(line);
-            uint64_t mask = filters_[t / kGroup].evaluate(tokenized);
+            uint64_t mask =
+                filters_[t / kGroup].evaluate(&tokenizers_[t], line);
             if (collect_masks) {
                 out->line_masks.push_back(mask);
             }
             if (mask != 0) {
                 ++out->lines_kept;
-                for (size_t q = 0; q < 64; ++q) {
-                    if (mask & (1ull << q)) {
-                        ++out->kept_per_query[q];
-                    }
+                for (uint64_t m = mask; m != 0; m &= m - 1) {
+                    ++out->kept_per_query[std::countr_zero(m)];
                 }
                 if (keep_lines) {
-                    out->kept.push_back({line, mask, page_ord, in_page});
+                    out->kept.push_back(
+                        {std::string(line), mask, page_ord, in_page});
                 }
             }
             ++in_page;
-        }
+        });
         if (out->lines_kept != kept_before) {
             ++out->pages_with_matches;
         }

@@ -14,6 +14,10 @@
  *     cycles (captures the line-length imbalance the paper names as a
  *     stall source);
  *   - filter stage: max over the two hash filters of words consumed.
+ *
+ * On the host each page is one pass: it decodes into a buffer the
+ * pipeline keeps, each line is a view into it, and each line is
+ * tokenized once, straight into its hash filter.
  */
 #ifndef MITHRIL_ACCEL_FILTER_PIPELINE_H
 #define MITHRIL_ACCEL_FILTER_PIPELINE_H
@@ -96,6 +100,8 @@ class FilterPipeline
 
   private:
     compress::LzahDecompressorModel decompressor_;
+    /** Padded decompressor output, reused from page to page. */
+    compress::Bytes padded_;
     std::vector<Tokenizer> tokenizers_;
     std::vector<HashFilter> filters_;
     const FilterProgram *program_ = nullptr;

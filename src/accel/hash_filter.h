@@ -17,7 +17,7 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
+#include <string_view>
 
 #include "accel/cuckoo_table.h"
 #include "accel/datapath.h"
@@ -51,14 +51,15 @@ class HashFilter
         : program_(program) {}
 
     /**
-     * Evaluates one tokenized line.
+     * Evaluates one line, streaming its tokens out of @p tokenizer
+     * (which charges them) straight into the table lookups.
      *
-     * @param line tokens + statistics from a Tokenizer
+     * @param line the line without its trailing newline
      * @return bitmask over original queries (bit q set when some
      *         intersection set owned by query q accepted the line);
      *         nonzero means "keep".
      */
-    uint64_t evaluate(const TokenizedLine &line);
+    uint64_t evaluate(Tokenizer *tokenizer, std::string_view line);
 
     /** Cycles spent: one per consumed tokenized word. */
     uint64_t busyCycles() const { return busy_cycles_; }
@@ -77,7 +78,6 @@ class HashFilter
 
     // Per-line scratch, cleared at line start.
     std::array<Bitmap, kFlagPairs> bitmaps_{};
-    std::array<bool, kFlagPairs> violated_{};
 };
 
 } // namespace mithril::accel

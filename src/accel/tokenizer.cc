@@ -1,38 +1,6 @@
 #include "accel/tokenizer.h"
 
-#include "common/text.h"
-
 namespace mithril::accel {
-
-TokenizedLine
-Tokenizer::run(std::string_view line)
-{
-    TokenizedLine out;
-    forEachToken(line, [&](std::string_view tok, uint32_t column) {
-        out.tokens.push_back({tok, static_cast<uint16_t>(column), false});
-        out.emit_words += tokenWords(tok.size());
-        out.useful_bytes += tok.size();
-        return true;
-    });
-    if (!out.tokens.empty()) {
-        out.tokens.back().last_of_line = true;
-    }
-    // The decompressor hands the tokenizer line-aligned words, so the
-    // ingest stream includes the terminator word's padding.
-    size_t padded_len = (line.size() + 1 + kDatapathBytes - 1) /
-                        kDatapathBytes * kDatapathBytes;
-    out.ingest_cycles = padded_len / kTokenizerBytesPerCycle;
-    // A line with no tokens (all delimiters / empty) still consumes its
-    // ingest cycles and emits one empty end-of-line marker word.
-    if (out.tokens.empty()) {
-        out.emit_words = 1;
-    }
-
-    busy_cycles_ += std::max(out.ingest_cycles, out.emit_words);
-    words_emitted_ += out.emit_words;
-    useful_bytes_ += out.useful_bytes;
-    return out;
-}
 
 double
 Tokenizer::usefulRatio() const

@@ -8,8 +8,8 @@
  * padded, which amplifies the tokenized stream relative to the raw text
  * (the Figure 13 "useful bits" statistic).
  *
- * The emulation produces the same token stream functionally and charges
- * cycles structurally:
+ * The emulation streams the same tokens functionally, straight into the
+ * consumer (the hash filter), and charges cycles structurally:
  *
  *     cycles(line) = max( ceil(line_bytes / 2),   // ingest bound
  *                         words_emitted )         // emit bound
@@ -20,24 +20,18 @@
 #ifndef MITHRIL_ACCEL_TOKENIZER_H
 #define MITHRIL_ACCEL_TOKENIZER_H
 
+#include <algorithm>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 #include "accel/datapath.h"
+#include "common/bits.h"
+#include "common/text.h"
 
 namespace mithril::accel {
 
-/** One emitted token (datapath words are implied by its length). */
-struct TokenOut {
-    std::string_view text;   ///< token bytes (view into the line)
-    uint16_t column;         ///< token position in the line (prefix ext.)
-    bool last_of_line;       ///< set on the line's final token
-};
-
-/** Result of tokenizing one line. */
-struct TokenizedLine {
-    std::vector<TokenOut> tokens;
+/** What one line costs a tokenizer. */
+struct LineCharge {
     uint64_t ingest_cycles = 0;  ///< padded line bytes / 2
     uint64_t emit_words = 0;     ///< datapath words emitted (padded)
     uint64_t useful_bytes = 0;   ///< sum of token lengths (no padding)
@@ -50,10 +44,12 @@ class Tokenizer
 {
   public:
     /**
-     * Tokenizes @p line (without trailing newline).
-     * Views in the result point into @p line.
+     * Tokenizes @p line (without trailing newline), calling
+     * @p fn(token, column) for each token in line order; the line ends
+     * when run() returns. Token views point into @p line.
      */
-    TokenizedLine run(std::string_view line);
+    template <typename Fn>
+    LineCharge run(std::string_view line, Fn &&fn);
 
     /** Cycles this tokenizer has spent (max of ingest/emit per line). */
     uint64_t busyCycles() const { return busy_cycles_; }
@@ -74,6 +70,33 @@ class Tokenizer
     uint64_t words_emitted_ = 0;
     uint64_t useful_bytes_ = 0;
 };
+
+template <typename Fn>
+LineCharge
+Tokenizer::run(std::string_view line, Fn &&fn)
+{
+    LineCharge c;
+    forEachToken(line, [&](std::string_view tok, uint32_t column) {
+        c.emit_words += tokenWords(tok.size());
+        c.useful_bytes += tok.size();
+        fn(tok, static_cast<uint16_t>(column));
+        return true;
+    });
+    // The decompressor hands the tokenizer line-aligned words, so the
+    // ingest stream includes the terminator word's padding.
+    c.ingest_cycles = alignUp(line.size() + 1, kDatapathBytes) /
+                      kTokenizerBytesPerCycle;
+    // A line with no tokens (all delimiters / empty) still consumes its
+    // ingest cycles and emits one empty end-of-line marker word.
+    if (c.emit_words == 0) {
+        c.emit_words = 1;
+    }
+
+    busy_cycles_ += std::max(c.ingest_cycles, c.emit_words);
+    words_emitted_ += c.emit_words;
+    useful_bytes_ += c.useful_bytes;
+    return c;
+}
 
 } // namespace mithril::accel
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <set>
 
 #include "common/bits.h"
@@ -823,20 +822,18 @@ MithriLog::hostEvaluate(std::span<const compress::ByteView> views,
     // First line of each staged page via the sealed-page directory, so
     // every match carries its global ingest line number (the identity
     // the oracle tests and the fan-out merge compare on).
-    std::map<PageId, uint64_t> first_line;
-    for (const typed::TypedIndex::PageSpan &s :
-         typed_index_->pageDirectory()) {
-        first_line[s.page] = s.first_line;
-    }
+    const std::vector<typed::TypedIndex::PageSpan> &dir =
+        typed_index_->pageDirectory();
     std::vector<query::SoftwareMatcher> matchers(queries.begin(),
                                                  queries.end());
     out->matched_per_query.assign(queries.size(), 0);
 
     std::vector<std::pair<uint64_t, accel::KeptLine>> hits;
+    compress::Bytes text;
     for (size_t v = 0; v < views.size(); ++v) {
         // Decode per page so a mid-page decode failure (structural
         // damage past the CRC) drops that page cleanly.
-        compress::Bytes text;
+        text.clear();
         if (!compress::lzahDecodePage(views[v], /*padded=*/false, &text)
                  .isOk()) {
             counters_.pages_dropped->add();
@@ -844,9 +841,13 @@ MithriLog::hostEvaluate(std::span<const compress::ByteView> views,
             continue;
         }
         out->bytes_scanned += text.size();
-        auto it = first_line.find(ids[v]);
-        MITHRIL_ASSERT(it != first_line.end());
-        uint64_t line_no = it->second;
+        auto it = std::lower_bound(
+            dir.begin(), dir.end(), ids[v],
+            [](const typed::TypedIndex::PageSpan &s, PageId id) {
+                return s.page < id;
+            });
+        MITHRIL_ASSERT(it != dir.end() && it->page == ids[v]);
+        uint64_t line_no = it->first_line;
         uint32_t in_page = 0;
         forEachLine(asChars(text), [&](std::string_view line) {
             bool matched = false;

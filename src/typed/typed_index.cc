@@ -89,6 +89,9 @@ void
 TypedIndex::notePage(storage::PageId page, uint64_t first_line,
                      uint64_t line_count)
 {
+    MITHRIL_ASSERT(page_dir_.empty() ||
+                   (page_dir_.back().page < page &&
+                    page_dir_.back().first_line <= first_line));
     page_dir_.push_back(PageSpan{page, first_line, line_count});
 }
 

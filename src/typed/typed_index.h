@@ -75,7 +75,8 @@ class TypedIndex
 
     /** Registers a sealed data page covering lines
      *  [@p first_line, @p first_line + @p line_count) — the directory
-     *  that maps posting hits back to data pages. */
+     *  that maps posting hits back to data pages. Pages arrive in
+     *  ingest order with ascending ids. */
     void notePage(storage::PageId page, uint64_t first_line,
                   uint64_t line_count);
 
@@ -97,7 +98,9 @@ class TypedIndex
         uint64_t line_count;
     };
 
-    /** Sealed-page directory, ascending by first_line. */
+    /** Sealed-page directory, ascending by first_line and by page id:
+     *  data pages are allocated in ingest order, a mount keeps their
+     *  ids, and ids are never reused (notePage checks it). */
     const std::vector<PageSpan> &pageDirectory() const
     {
         return page_dir_;

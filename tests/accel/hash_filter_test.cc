@@ -32,7 +32,7 @@ evalLine(const FilterProgram &p, std::string_view line)
 {
     Tokenizer t;
     HashFilter f(&p);
-    return f.evaluate(t.run(line));
+    return f.evaluate(&t, line);
 }
 
 TEST(HashFilterTest, AcceptsMatchingLine)
@@ -72,10 +72,10 @@ TEST(HashFilterTest, CyclesCountTokenWords)
     FilterProgram p = program("z");
     Tokenizer t;
     HashFilter f(&p);
-    f.evaluate(t.run("short tokens here"));  // 3 words
+    f.evaluate(&t, "short tokens here");  // 3 words
     EXPECT_EQ(f.busyCycles(), 3u);
     std::string long_tok(33, 'w');  // 3 words
-    f.evaluate(t.run(long_tok));
+    f.evaluate(&t, long_tok);
     EXPECT_EQ(f.busyCycles(), 6u);
 }
 
@@ -84,8 +84,8 @@ TEST(HashFilterTest, LineStatsTrack)
     FilterProgram p = program("hit");
     Tokenizer t;
     HashFilter f(&p);
-    f.evaluate(t.run("hit one"));
-    f.evaluate(t.run("miss"));
+    f.evaluate(&t, "hit one");
+    f.evaluate(&t, "miss");
     EXPECT_EQ(f.linesIn(), 2u);
     EXPECT_EQ(f.linesKept(), 1u);
     f.resetStats();

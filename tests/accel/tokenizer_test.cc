@@ -2,63 +2,94 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace mithril::accel {
 namespace {
 
+/** One token as the tokenizer streamed it. */
+struct Emitted {
+    std::string_view text;
+    uint16_t column;
+};
+
+/** Runs @p line through @p t, collecting the streamed tokens. */
+LineCharge
+runCollect(Tokenizer &t, std::string_view line, std::vector<Emitted> *out)
+{
+    return t.run(line, [out](std::string_view tok, uint16_t column) {
+        out->push_back({tok, column});
+    });
+}
+
+/** Runs @p line through @p t for its charge alone. */
+LineCharge
+run(Tokenizer &t, std::string_view line)
+{
+    return t.run(line, [](std::string_view, uint16_t) {});
+}
+
 TEST(TokenizerTest, EmitsTokensWithFlags)
 {
+    // The last-of-line flag is the end of run(): every token streams
+    // out, in line order, before it returns.
     Tokenizer t;
-    TokenizedLine out = t.run("RAS APP FATAL");
-    ASSERT_EQ(out.tokens.size(), 3u);
-    EXPECT_EQ(out.tokens[0].text, "RAS");
-    EXPECT_FALSE(out.tokens[0].last_of_line);
-    EXPECT_TRUE(out.tokens[2].last_of_line);
+    std::vector<Emitted> tokens;
+    LineCharge c = runCollect(t, "RAS APP FATAL", &tokens);
+    ASSERT_EQ(tokens.size(), 3u);
+    EXPECT_EQ(tokens[0].text, "RAS");
+    EXPECT_EQ(tokens[1].text, "APP");
+    EXPECT_EQ(tokens[2].text, "FATAL");
+    EXPECT_EQ(c.emit_words, 3u);
 }
 
 TEST(TokenizerTest, ColumnsIncrement)
 {
     Tokenizer t;
-    TokenizedLine out = t.run("a b c d");
-    for (size_t i = 0; i < out.tokens.size(); ++i) {
-        EXPECT_EQ(out.tokens[i].column, i);
+    std::vector<Emitted> tokens;
+    runCollect(t, "a b c d", &tokens);
+    ASSERT_EQ(tokens.size(), 4u);
+    for (size_t i = 0; i < tokens.size(); ++i) {
+        EXPECT_EQ(tokens[i].column, i);
     }
 }
 
 TEST(TokenizerTest, ShortTokensOneWordEach)
 {
     Tokenizer t;
-    TokenizedLine out = t.run("ab cd");
-    EXPECT_EQ(out.emit_words, 2u);
-    EXPECT_EQ(out.useful_bytes, 4u);
+    LineCharge c = run(t, "ab cd");
+    EXPECT_EQ(c.emit_words, 2u);
+    EXPECT_EQ(c.useful_bytes, 4u);
 }
 
 TEST(TokenizerTest, LongTokenSpansWords)
 {
     Tokenizer t;
     std::string tok(40, 'x');  // ceil(40/16) = 3 words
-    TokenizedLine out = t.run(tok);
-    ASSERT_EQ(out.tokens.size(), 1u);
-    EXPECT_EQ(out.emit_words, 3u);
-    EXPECT_EQ(out.useful_bytes, 40u);
+    std::vector<Emitted> tokens;
+    LineCharge c = runCollect(t, tok, &tokens);
+    ASSERT_EQ(tokens.size(), 1u);
+    EXPECT_EQ(c.emit_words, 3u);
+    EXPECT_EQ(c.useful_bytes, 40u);
 }
 
 TEST(TokenizerTest, IngestCyclesAtTwoBytesPerCycle)
 {
     Tokenizer t;
     // "abcdef" (6 chars) -> one 16-byte padded word -> 8 cycles.
-    TokenizedLine out = t.run("abcdef");
-    EXPECT_EQ(out.ingest_cycles, 8u);
+    EXPECT_EQ(run(t, "abcdef").ingest_cycles, 8u);
     // 31 chars + '\n' = two words = 16 cycles.
-    out = t.run(std::string(31, 'y'));
-    EXPECT_EQ(out.ingest_cycles, 16u);
+    EXPECT_EQ(run(t, std::string(31, 'y')).ingest_cycles, 16u);
 }
 
 TEST(TokenizerTest, EmptyLineEmitsMarkerWord)
 {
     Tokenizer t;
-    TokenizedLine out = t.run("");
-    EXPECT_TRUE(out.tokens.empty());
-    EXPECT_EQ(out.emit_words, 1u);
+    std::vector<Emitted> tokens;
+    LineCharge c = runCollect(t, "", &tokens);
+    EXPECT_TRUE(tokens.empty());
+    EXPECT_EQ(c.emit_words, 1u);
 }
 
 TEST(TokenizerTest, UsefulRatioTracksPadding)
@@ -66,7 +97,7 @@ TEST(TokenizerTest, UsefulRatioTracksPadding)
     Tokenizer t;
     // 4-byte tokens in 16-byte words: exactly 25% useful.
     for (int i = 0; i < 100; ++i) {
-        t.run("abcd efgh ijkl");
+        run(t, "abcd efgh ijkl");
     }
     EXPECT_NEAR(t.usefulRatio(), 0.25, 0.01);
 }
@@ -76,7 +107,7 @@ TEST(TokenizerTest, BusyCyclesIsMaxOfIngestAndEmit)
     Tokenizer t;
     // Short line dominated by ingest: 16 B padded / 2 = 8 cycles vs 2
     // emitted words.
-    t.run("ab cd");
+    run(t, "ab cd");
     EXPECT_EQ(t.busyCycles(), 8u);
     t.resetStats();
     // Many tiny tokens: 32 one-byte tokens = 32 emit words vs
@@ -85,16 +116,16 @@ TEST(TokenizerTest, BusyCyclesIsMaxOfIngestAndEmit)
     for (int i = 0; i < 40; ++i) {
         line += "a ";
     }
-    TokenizedLine out = t.run(line);
-    EXPECT_EQ(out.emit_words, 40u);
-    EXPECT_EQ(t.busyCycles(), std::max(out.ingest_cycles, out.emit_words));
+    LineCharge c = run(t, line);
+    EXPECT_EQ(c.emit_words, 40u);
+    EXPECT_EQ(t.busyCycles(), std::max(c.ingest_cycles, c.emit_words));
 }
 
 TEST(TokenizerTest, StatsAccumulateAndReset)
 {
     Tokenizer t;
-    t.run("one two");
-    t.run("three");
+    run(t, "one two");
+    run(t, "three");
     EXPECT_EQ(t.wordsEmitted(), 3u);
     EXPECT_EQ(t.usefulBytes(), 11u);
     t.resetStats();
@@ -105,10 +136,11 @@ TEST(TokenizerTest, StatsAccumulateAndReset)
 TEST(TokenizerTest, DelimiterRunsSkipped)
 {
     Tokenizer t;
-    TokenizedLine out = t.run("  a \t\t b  ");
-    ASSERT_EQ(out.tokens.size(), 2u);
-    EXPECT_EQ(out.tokens[0].text, "a");
-    EXPECT_EQ(out.tokens[1].text, "b");
+    std::vector<Emitted> tokens;
+    runCollect(t, "  a \t\t b  ", &tokens);
+    ASSERT_EQ(tokens.size(), 2u);
+    EXPECT_EQ(tokens[0].text, "a");
+    EXPECT_EQ(tokens[1].text, "b");
 }
 
 } // namespace

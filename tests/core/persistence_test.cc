@@ -17,9 +17,11 @@
 
 #include "common/bits.h"
 #include "common/hash.h"
+#include "common/text.h"
 #include "core/mithrilog.h"
 #include "loggen/incident.h"
 #include "loggen/log_generator.h"
+#include "query/matcher.h"
 #include "query/parser.h"
 
 namespace mithril::core {
@@ -125,6 +127,59 @@ TEST_F(PersistenceTest, IngestContinuesAfterRestore)
     ASSERT_TRUE(restored.run(mustParse("alpha | beta"), &r).isOk());
     EXPECT_EQ(r.matched_lines, 2u);
     EXPECT_EQ(restored.lineCount(), 2u);
+}
+
+TEST_F(PersistenceTest, PageDirectoryAscendsAcrossRecoverAndReopen)
+{
+    // The host evaluator finds a page's first line by binary search
+    // over the page directory, which needs page ids that ascend with
+    // ingest order through every mount and reopen.
+    loggen::LogGenerator gen(loggen::hpc4Datasets()[0]);
+    std::string first = gen.generate(256 << 10);
+    std::string second = gen.generate(256 << 10);
+    MithriLog original;
+    ASSERT_TRUE(original.ingestText(first).isOk());
+    ASSERT_TRUE(original.flush().isOk());
+    ASSERT_TRUE(original.saveDeviceImage(path_).isOk());
+
+    MithriLog reopened;
+    ASSERT_TRUE(reopened.recover(path_).isOk());
+    ASSERT_TRUE(reopened.reopen().isOk());
+    ASSERT_TRUE(reopened.ingestText(second).isOk());
+    ASSERT_TRUE(reopened.flush().isOk());
+    ASSERT_TRUE(reopened.saveDeviceImage(path_).isOk());
+
+    MithriLog mounted;
+    ASSERT_TRUE(mounted.recover(path_).isOk());
+    const std::string corpus = first + second;
+    // 9 union sets exceed the 8 flag pairs: the host evaluator scans
+    // every page.
+    query::Query q = mustParse(
+        "INFO | FATAL | APP | KERNEL | cache | TLB | ciod | parity | "
+        "interrupt");
+    query::SoftwareMatcher matcher(q);
+    std::vector<std::string_view> lines = splitLines(corpus);
+    std::vector<uint64_t> expected;
+    for (uint64_t i = 0; i < lines.size(); ++i) {
+        if (matcher.matches(lines[i])) {
+            expected.push_back(i);
+        }
+    }
+    ASSERT_FALSE(expected.empty());
+    for (MithriLog *store : {&reopened, &mounted}) {
+        const auto &dir = store->typedIndex().pageDirectory();
+        ASSERT_EQ(dir.size(), store->dataPageCount());
+        for (size_t i = 1; i < dir.size(); ++i) {
+            EXPECT_LT(dir[i - 1].page, dir[i].page) << i;
+            EXPECT_EQ(dir[i - 1].first_line + dir[i - 1].line_count,
+                      dir[i].first_line)
+                << i;
+        }
+        QueryResult r;
+        ASSERT_TRUE(store->run(q, &r).isOk());
+        EXPECT_TRUE(r.used_fallback);
+        EXPECT_EQ(r.line_numbers, expected);
+    }
 }
 
 TEST_F(PersistenceTest, LoadRequiresFreshSystem)
