@@ -239,15 +239,20 @@ lzahVerifyPage(ByteView page)
     return Status::ok();
 }
 
+namespace {
+
+/** lzahDecodePage with the caller's match-table storage. */
 Status
-lzahDecodePage(ByteView page, bool padded, Bytes *output,
-               uint64_t *word_count)
+decodePageWith(ByteView page, bool padded, Bytes *output,
+               uint64_t *word_count, std::vector<Word> *table_storage)
 {
     MITHRIL_RETURN_IF_ERROR(lzahVerifyPage(page));
     PageHeader hdr;
     std::memcpy(&hdr, page.data(), sizeof hdr);
 
-    std::vector<Word> table(kLzahTableEntries);
+    // Page independence: every page decodes from an empty table.
+    table_storage->assign(kLzahTableEntries, Word{});
+    Word *table = table_storage->data();
     size_t off = kPageHeaderBytes;
     uint32_t remaining = hdr.item_count;
     uint64_t words = 0;
@@ -303,6 +308,16 @@ lzahDecodePage(ByteView page, bool padded, Bytes *output,
         *word_count += words;
     }
     return Status::ok();
+}
+
+} // namespace
+
+Status
+lzahDecodePage(ByteView page, bool padded, Bytes *output,
+               uint64_t *word_count)
+{
+    std::vector<Word> table;
+    return decodePageWith(page, padded, output, word_count, &table);
 }
 
 // --------------------------------------------------------------------------
@@ -444,7 +459,7 @@ LzahDecompressorModel::decodePage(ByteView page, Bytes *output)
 {
     uint64_t words = 0;
     MITHRIL_RETURN_IF_ERROR(
-        lzahDecodePage(page, /*padded=*/true, output, &words));
+        decodePageWith(page, /*padded=*/true, output, &words, &table_));
     cycles_ += words;
     bytes_out_ += words * kLzahWord;
     return Status::ok();

@@ -194,6 +194,8 @@ class LzahDecompressorModel
   private:
     uint64_t cycles_ = 0;
     uint64_t bytes_out_ = 0;
+    /** Match table, reused from page to page. */
+    std::vector<Word> table_;
 };
 
 } // namespace mithril::compress
