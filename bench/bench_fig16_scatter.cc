@@ -51,12 +51,12 @@ main(int argc, char **argv)
         size_t n = 0;
         for (const query::Query &q : queries) {
             core::QueryResult mr;
-            if (!system.run(q, &mr).isOk() || mr.used_fallback) {
+            if (!system.run(q, &mr).isOk() || mr.breakdown.used_fallback) {
                 continue;
             }
             baseline::IndexedResult sr = splunk.runQuery(q);
             double splunk_s = sr.elapsed_seconds / kThreads;
-            double mithril_s = mr.total_time.toSeconds();
+            double mithril_s = mr.breakdown.total_time.toSeconds();
             std::printf("  %.6f %.6f %llu %llu\n", splunk_s, mithril_s,
                         static_cast<unsigned long long>(
                             sr.buckets_scanned),

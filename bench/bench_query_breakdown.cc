@@ -50,12 +50,12 @@ main(int argc, char **argv)
         obs::JsonRecord rec("query_breakdown");
         rec.field("query", i)
             .field("total_ps",
-                   static_cast<uint64_t>(r.total_time.ps()))
+                   static_cast<uint64_t>(r.breakdown.total_time.ps()))
             .field("candidate_pages", r.breakdown.candidate_pages)
             .field("pages_scanned", r.breakdown.pages_scanned)
             .field("false_positive_pages",
                    r.breakdown.false_positive_pages)
-            .field("matched_lines", r.breakdown.matched_lines);
+            .field("matched_lines", r.matched_lines);
         emitRecord(&rec);
     }
 

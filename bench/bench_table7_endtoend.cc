@@ -60,12 +60,12 @@ main(int argc, char **argv)
         size_t ran = 0;
         for (const query::Query &q : queries) {
             core::QueryResult mr;
-            if (!system.run(q, &mr).isOk() || mr.used_fallback) {
+            if (!system.run(q, &mr).isOk() || mr.breakdown.used_fallback) {
                 continue;  // keep the comparison on offloaded queries
             }
             baseline::IndexedResult sr = splunk.runQuery(q);
             splunk_total += sr.elapsed_seconds / kSplunkThreads;
-            mithril_total += mr.total_time.toSeconds();
+            mithril_total += mr.breakdown.total_time.toSeconds();
             ++ran;
         }
         double improvement = mithril_total > 0

@@ -51,7 +51,6 @@ main(int argc, char **argv)
                 truth.decoy_lines.size());
 
     core::MithriLogConfig typed_cfg = obsConfig();
-    typed_cfg.accel.keep_lines = true;
     core::MithriLogConfig scan_cfg = typed_cfg;
     scan_cfg.use_typed_index = false;
 

@@ -46,7 +46,7 @@ main(int argc, char **argv)
                 std::vector<std::string>{sev}), &r).isOk()) {
             std::printf("  %-8s %8llu lines (%.3f ms modeled)\n", sev,
                         static_cast<unsigned long long>(r.matched_lines),
-                        r.total_time.toSeconds() * 1e3);
+                        r.breakdown.total_time.toSeconds() * 1e3);
         }
     }
 
@@ -94,9 +94,9 @@ main(int argc, char **argv)
         std::printf("\nnon-kernel failure lines: %llu "
                     "(scanned %llu/%llu pages, %.3f ms modeled)\n",
                     static_cast<unsigned long long>(r.matched_lines),
-                    static_cast<unsigned long long>(r.pages_scanned),
-                    static_cast<unsigned long long>(r.pages_total),
-                    r.total_time.toSeconds() * 1e3);
+                    static_cast<unsigned long long>(r.breakdown.pages_scanned),
+                    static_cast<unsigned long long>(r.breakdown.pages_total),
+                    r.breakdown.total_time.toSeconds() * 1e3);
     }
     return 0;
 }

@@ -72,7 +72,7 @@ main()
             counts += std::to_string(c) + " ";
         }
         std::printf("%-8zu %10.3f ms %-14s %s\n", batch,
-                    result.total_time.toSeconds() * 1e3,
+                    result.breakdown.total_time.toSeconds() * 1e3,
                     humanBandwidth(result.effectiveThroughput(
                         system.rawBytes())).c_str(),
                     counts.c_str());

@@ -317,20 +317,21 @@ cmdQuery(const std::string &img_path, const std::string &query_text)
         std::fprintf(stderr, "query: %s\n", st.toString().c_str());
         return 1;
     }
+    const core::QueryBreakdown &b = r.breakdown;
     std::printf("%llu matches (%llu/%llu pages%s%s%s%s%s); modeled "
                 "%.3f ms, effective %s\n",
                 static_cast<unsigned long long>(r.matched_lines),
-                static_cast<unsigned long long>(r.pages_scanned),
-                static_cast<unsigned long long>(r.pages_total),
-                r.planned_full_scan ? ", planner: full scan" : "",
-                r.used_fallback ? ", software fallback" : "",
-                r.degraded_index_scan ? ", degraded: index" : "",
-                r.degraded_software_scan ? ", degraded: software" : "",
-                r.degraded_typed_scan ? ", degraded: typed scan" : "",
-                r.total_time.toSeconds() * 1e3,
+                static_cast<unsigned long long>(b.pages_scanned),
+                static_cast<unsigned long long>(b.pages_total),
+                b.planned_full_scan ? ", planner: full scan" : "",
+                b.used_fallback ? ", software fallback" : "",
+                b.degraded_index_scan ? ", degraded: index" : "",
+                b.degraded_software_scan ? ", degraded: software" : "",
+                b.degraded_typed_scan ? ", degraded: typed scan" : "",
+                b.total_time.toSeconds() * 1e3,
                 humanBandwidth(r.effectiveThroughput(system.rawBytes()))
                     .c_str());
-    std::printf("breakdown: %s\n", r.breakdown.toJson().c_str());
+    std::printf("breakdown: %s\n", b.toJson().c_str());
     for (size_t i = 0; i < r.lines.size() && i < 10; ++i) {
         std::printf("%s\n", r.lines[i].text.c_str());
     }
@@ -410,8 +411,8 @@ cmdSvc(const std::string &log_path, const std::string &query_text)
     std::printf("%llu matches (%llu/%llu pages over all shards); "
                 "modeled fan-out %.3f ms, imbalance %.1f%%\n",
                 static_cast<unsigned long long>(r.matched_lines),
-                static_cast<unsigned long long>(r.pages_scanned),
-                static_cast<unsigned long long>(r.pages_total),
+                static_cast<unsigned long long>(r.breakdown.pages_scanned),
+                static_cast<unsigned long long>(r.breakdown.pages_total),
                 r.total_time.toSeconds() * 1e3, r.shardImbalancePct());
     for (size_t i = 0; i < r.lines.size() && i < 10; ++i) {
         std::printf("%s\n", r.lines[i].text.c_str());

@@ -70,9 +70,9 @@ main(int argc, char **argv)
         std::printf("query over the reopened image: %llu matches, "
                     "%.3f ms modeled (%llu/%llu pages)\n",
                     static_cast<unsigned long long>(r.matched_lines),
-                    r.total_time.toSeconds() * 1e3,
-                    static_cast<unsigned long long>(r.pages_scanned),
-                    static_cast<unsigned long long>(r.pages_total));
+                    r.breakdown.total_time.toSeconds() * 1e3,
+                    static_cast<unsigned long long>(r.breakdown.pages_scanned),
+                    static_cast<unsigned long long>(r.breakdown.pages_total));
     }
 
     // Phase 3: the reopened store keeps accepting logs.

@@ -79,27 +79,27 @@ main(int argc, char **argv)
                          st.toString().c_str());
             continue;
         }
+        const core::QueryBreakdown &b = result.breakdown;
         std::printf("\nquery: %s\n", q);
         std::printf("  matched %llu of %llu lines; scanned %llu/%llu "
                     "pages\n",
                     static_cast<unsigned long long>(result.matched_lines),
                     static_cast<unsigned long long>(system.lineCount()),
-                    static_cast<unsigned long long>(result.pages_scanned),
-                    static_cast<unsigned long long>(result.pages_total));
+                    static_cast<unsigned long long>(b.pages_scanned),
+                    static_cast<unsigned long long>(b.pages_total));
         std::printf("  modeled time: %.3f ms (index %.3f ms, "
                     "storage %.3f ms, compute %.3f ms)\n",
-                    result.total_time.toSeconds() * 1e3,
-                    result.index_time.toSeconds() * 1e3,
-                    result.storage_time.toSeconds() * 1e3,
-                    result.compute_time.toSeconds() * 1e3);
+                    b.total_time.toSeconds() * 1e3,
+                    b.index_time.toSeconds() * 1e3,
+                    b.storage_time.toSeconds() * 1e3,
+                    b.compute_time.toSeconds() * 1e3);
         std::printf("  effective throughput: %s\n",
                     humanBandwidth(result.effectiveThroughput(
                         system.rawBytes())).c_str());
         // 4. The same attribution, machine-readable: Table-7's
         // index/storage/compute split plus the index's page-pruning
         // account (candidates, false positives).
-        std::printf("  breakdown: %s\n",
-                    result.breakdown.toJson().c_str());
+        std::printf("  breakdown: %s\n", b.toJson().c_str());
         for (size_t i = 0; i < result.lines.size() && i < 3; ++i) {
             std::printf("  > %s\n", result.lines[i].text.c_str());
         }

@@ -74,7 +74,7 @@ main(int argc, char **argv)
                     "(query: %s)\n",
                     i,
                     static_cast<unsigned long long>(result.matched_lines),
-                    result.total_time.toSeconds() * 1e3,
+                    result.breakdown.total_time.toSeconds() * 1e3,
                     q.toString().substr(0, 60).c_str());
     }
 
@@ -89,7 +89,7 @@ main(int argc, char **argv)
                     "%.3f ms modeled\n",
                     n,
                     static_cast<unsigned long long>(result.matched_lines),
-                    result.total_time.toSeconds() * 1e3);
+                    result.breakdown.total_time.toSeconds() * 1e3);
     } else {
         std::printf("\nbatched compile failed (%s); templates too "
                     "large for one program\n", st.toString().c_str());

@@ -95,25 +95,24 @@ Accelerator::process(std::span<const compress::ByteView> pages, Mode mode,
     }
 
     // Page-granular round-robin scatter across pipelines.
-    std::vector<std::vector<compress::ByteView>> shards(pipelines_.size());
+    const size_t n = pipelines_.size();
+    std::vector<std::vector<compress::ByteView>> shards(n);
     for (size_t i = 0; i < pages.size(); ++i) {
-        shards[i % pipelines_.size()].push_back(pages[i]);
+        shards[i % n].push_back(pages[i]);
     }
 
     out->kept_per_query.assign(std::max<size_t>(query_count_, 1), 0);
-    std::vector<uint64_t> pipeline_cycles(pipelines_.size(), 0);
-    for (size_t p = 0; p < pipelines_.size(); ++p) {
-        PipelineResult r;
+    std::vector<PipelineResult> results(n);
+    for (size_t p = 0; p < n; ++p) {
+        PipelineResult &r = results[p];
         MITHRIL_RETURN_IF_ERROR(pipelines_[p].process(
-            shards[p], mode, config_.keep_lines, config_.collect_masks,
-            &r));
+            shards[p], mode, config_.collect_masks, &r));
         out->line_masks.insert(out->line_masks.end(),
                                r.line_masks.begin(),
                                r.line_masks.end());
         out->lines_in += r.lines_in;
         out->lines_kept += r.lines_kept;
         out->cycles = std::max(out->cycles, r.cycles);
-        pipeline_cycles[p] = r.cycles;
         out->decompressed_bytes += r.decompressed_bytes;
         out->padded_bytes += r.padded_bytes;
         out->tokenized_words += r.tokenized_words;
@@ -123,22 +122,26 @@ Accelerator::process(std::span<const compress::ByteView> pages, Mode mode,
                            q < r.kept_per_query.size(); ++q) {
             out->kept_per_query[q] += r.kept_per_query[q];
         }
-        for (KeptLine &line : r.kept) {
-            // Undo the round-robin scatter: local page j of pipeline p
-            // is batch page j * P + p, so callers can attribute kept
-            // lines to the data pages they submitted.
-            line.page_index = static_cast<uint32_t>(
-                static_cast<size_t>(line.page_index)
-                    * pipelines_.size()
-                + p);
-            out->kept.push_back(std::move(line));
-        }
         out->text += r.text;
         out->raw.insert(out->raw.end(), r.raw.begin(), r.raw.end());
     }
+    // Undo the scatter: each pipeline keeps lines in its local page
+    // order, and local page j of pipeline p is batch page j * n + p, so
+    // visiting the batch pages in turn merges the pipelines' outputs
+    // into batch page order.
+    out->kept.reserve(out->lines_kept);
+    std::vector<size_t> next(n, 0);
+    for (size_t page = 0; page < pages.size(); ++page) {
+        std::vector<KeptLine> &kept = results[page % n].kept;
+        for (size_t &i = next[page % n];
+             i < kept.size() && kept[i].page_index == page / n; ++i) {
+            kept[i].page_index = static_cast<uint32_t>(page);
+            out->kept.push_back(std::move(kept[i]));
+        }
+    }
     // All pipelines run until the slowest finishes; the others idle.
-    for (uint64_t c : pipeline_cycles) {
-        out->stall_cycles += out->cycles - c;
+    for (const PipelineResult &r : results) {
+        out->stall_cycles += out->cycles - r.cycles;
     }
     meterBatch(*out, pages.size());
     return Status::ok();

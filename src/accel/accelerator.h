@@ -28,8 +28,6 @@ namespace mithril::accel {
 struct AccelConfig {
     size_t pipelines = kDefaultPipelines;
     double clock_hz = kClockHz;
-    /** Retain matched line text (disable for large counting scans). */
-    bool keep_lines = true;
     /** Record every line's query mask (template tagging). Masks are in
      *  corpus order only when pages are fed one per process() call. */
     bool collect_masks = false;
@@ -37,13 +35,16 @@ struct AccelConfig {
 
 /** Aggregated result of one accelerator run. */
 struct AccelResult {
+    /** Accepted lines in batch page order, and in line order within a
+     *  page, whatever the number of pipelines. */
     std::vector<KeptLine> kept;
     uint64_t lines_in = 0;
     uint64_t lines_kept = 0;
     /** Per-original-query matched line counts (batched execution). */
     std::vector<uint64_t> kept_per_query;
 
-    /** Per-line query masks (AccelConfig::collect_masks). */
+    /** Per-line query masks (AccelConfig::collect_masks), pipeline by
+     *  pipeline. */
     std::vector<uint64_t> line_masks;
 
     uint64_t cycles = 0;              ///< max over pipelines
@@ -57,9 +58,9 @@ struct AccelResult {
      *  (page/line imbalance — the stall source Section 7.3 names). */
     uint64_t stall_cycles = 0;
 
-    /** Decompressed text (kDecompress mode). */
+    /** Decompressed text (kDecompress mode), pipeline by pipeline. */
     std::string text;
-    /** Raw page bytes (kRaw mode). */
+    /** Raw page bytes (kRaw mode), pipeline by pipeline. */
     std::vector<uint8_t> raw;
 
     /** Fraction of useful bits in the tokenized datapath (Figure 13). */
@@ -105,7 +106,8 @@ class Accelerator
     /**
      * Runs @p pages (LZAH-compressed) through the pipelines in
      * @p mode. Pages are distributed round-robin, one page per
-     * pipeline per turn, as the device's scatter unit does.
+     * pipeline per turn, as the device's scatter unit does; kept lines
+     * are merged back into batch page order.
      */
     [[nodiscard]] Status process(std::span<const compress::ByteView> pages,
                                  Mode mode, AccelResult *out);

@@ -56,7 +56,7 @@ FilterPipeline::program(const FilterProgram *program)
 
 Status
 FilterPipeline::process(std::span<const compress::ByteView> pages,
-                        Mode mode, bool keep_lines, bool collect_masks,
+                        Mode mode, bool collect_masks,
                         PipelineResult *out)
 {
     *out = PipelineResult{};
@@ -133,10 +133,8 @@ FilterPipeline::process(std::span<const compress::ByteView> pages,
                 for (uint64_t m = mask; m != 0; m &= m - 1) {
                     ++out->kept_per_query[std::countr_zero(m)];
                 }
-                if (keep_lines) {
-                    out->kept.push_back(
-                        {std::string(line), mask, page_ord, in_page});
-                }
+                out->kept.push_back(
+                    {std::string(line), mask, page_ord, in_page});
             }
             ++in_page;
         });

@@ -47,7 +47,7 @@ struct KeptLine {
     /** Ordinal of the source page within this pipeline's batch;
      *  Accelerator::process rewrites it to the ordinal within the full
      *  submitted batch, so callers can attribute a kept line to its
-     *  data page (typed-query line numbering, DESIGN.md §15). */
+     *  data page and number it (core::QueryResult::line_numbers). */
     uint32_t page_index = 0;
     /** The line's index within its source page. */
     uint32_t line_in_page = 0;
@@ -87,16 +87,14 @@ class FilterPipeline
     void program(const FilterProgram *program);
 
     /**
-     * Processes a batch of LZAH-compressed pages.
+     * Processes a batch of LZAH-compressed pages; kept lines come out
+     * in page order.
      *
-     * @param keep_lines when false, matched lines are counted but their
-     *        text is not retained (large-scan benches).
      * @param collect_masks when true, every line's query mask is
      *        recorded in PipelineResult::line_masks (template tagging).
      */
     Status process(std::span<const compress::ByteView> pages, Mode mode,
-                   bool keep_lines, bool collect_masks,
-                   PipelineResult *out);
+                   bool collect_masks, PipelineResult *out);
 
   private:
     compress::LzahDecompressorModel decompressor_;

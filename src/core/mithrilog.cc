@@ -138,12 +138,53 @@ MithriLog::indexPage(PageId page, uint64_t first_line, uint64_t end_line)
     // Byte order, as a std::set<std::string> iterates: the two-hash
     // balancing in addPage depends on the order tokens arrive in.
     index_->addPage(page, page_tokens_.sorted(), end_line);
-    // Sealed-page directory entry (typed posting hits map back to data
-    // pages through it). Unconditional: line numbering must work with
-    // the typed index off (the degraded-scan baseline still reports
-    // line numbers).
-    typed_index_->notePage(page, first_line, end_line - first_line);
+    notePage(page, first_line, end_line);
     page_tokens_.clear();
+}
+
+void
+MithriLog::notePage(PageId page, uint64_t first_line, uint64_t end_line)
+{
+    MITHRIL_ASSERT(data_pages_.empty() ||
+                   (data_pages_.back() < page &&
+                    page_dir_.back().first_line <= first_line));
+    data_pages_.push_back(page);
+    page_dir_.push_back(PageSpan{first_line, end_line - first_line});
+}
+
+uint64_t
+MithriLog::firstLineOf(PageId page) const
+{
+    auto it = std::lower_bound(data_pages_.begin(), data_pages_.end(),
+                               page);
+    MITHRIL_ASSERT(it != data_pages_.end() && *it == page);
+    return page_dir_[it - data_pages_.begin()].first_line;
+}
+
+std::vector<PageId>
+MithriLog::pagesForLines(std::span<const uint64_t> lines) const
+{
+    // Ascending lines visit the directory in order, and page ids ascend
+    // with first lines, so the output comes out sorted.
+    std::vector<PageId> pages;
+    for (uint64_t line : lines) {
+        auto it = std::upper_bound(
+            page_dir_.begin(), page_dir_.end(), line,
+            [](uint64_t l, const PageSpan &span) {
+                return l < span.first_line;
+            });
+        if (it == page_dir_.begin()) {
+            continue;
+        }
+        --it;
+        if (line < it->first_line + it->line_count) {
+            PageId page = data_pages_[it - page_dir_.begin()];
+            if (pages.empty() || pages.back() != page) {
+                pages.push_back(page);
+            }
+        }
+    }
+    return pages;
 }
 
 Status
@@ -187,8 +228,6 @@ MithriLog::sealPendingPage()
     uint64_t first_line = committed_lines_;
     committed_lines_ = lines_;
     committed_raw_ = raw_bytes_;
-    data_pages_.push_back(id);
-
     indexPage(id, first_line, lines_);
     counters_.pages_sealed->add();
     counters_.lzah_bytes_out->add(storage::kPageSize);
@@ -483,7 +522,7 @@ MithriLog::runPipeline(std::span<const query::Query> queries,
         obs::Span lookup = tracer_->span(
             typed ? "query.typed_lookup" : "query.index_lookup", "core");
         candidates = prunePages(queries, out);
-        lookup.setSimDuration(out->index_time);
+        lookup.setSimDuration(b.index_time);
         lookup.end();
         ssd_.resetClock();
         if (candidates.integrity_lost) {
@@ -491,10 +530,10 @@ MithriLog::runPipeline(std::span<const query::Query> queries,
             // every page rather than silently miss matches. (The
             // pruning traffic already spent stays in the breakdown.)
             if (typed) {
-                out->degraded_typed_scan = true;
+                b.degraded_typed_scan = true;
                 counters_.degraded_typed_scans->add();
             } else {
-                out->degraded_index_scan = true;
+                b.degraded_index_scan = true;
                 counters_.degraded_index_scans->add();
             }
             obs::Span degrade = tracer_->span(
@@ -507,7 +546,7 @@ MithriLog::runPipeline(std::span<const query::Query> queries,
             counters_.candidate_pages->add(pages.size());
         }
     } else if (use_index && !typed) {
-        out->planned_full_scan = true;
+        b.planned_full_scan = true;
         obs::Span plan = tracer_->span("query.plan_full_scan", "core");
         counters_.planner_full_scans->add();
     }
@@ -516,29 +555,17 @@ MithriLog::runPipeline(std::span<const query::Query> queries,
     Status st;
     if (typed) {
         st = hostScan(pages, queries, out);
-        out->total_time = out->index_time + out->storage_time +
-                          ssd_.config().read_latency;
+        b.total_time = b.index_time + b.storage_time +
+                       ssd_.config().read_latency;
     } else {
         st = execute(pages, queries, out);
     }
 
-    // Finish: the breakdown mirrors the scalar result fields.
-    b.index_time = out->index_time;
-    b.storage_time = out->storage_time;
-    b.compute_time = out->compute_time;
-    b.total_time = out->total_time;
-    b.pages_scanned = out->pages_scanned;
-    b.pages_total = out->pages_total;
-    b.matched_lines = out->matched_lines;
-    b.used_fallback = out->used_fallback;
-    b.planned_full_scan = out->planned_full_scan;
-    b.degraded_index_scan = out->degraded_index_scan;
-    b.degraded_software_scan = out->degraded_software_scan;
-    b.degraded_typed_scan = out->degraded_typed_scan;
-    b.pages_dropped = out->pages_dropped;
+    b.pages_total = data_pages_.size();
     b.read_retries = counters_.ssd_read_retries->value() - retries_before;
     b.wall_seconds = wall.seconds();
-    qspan.setSimDuration(out->total_time);
+    out->planned_full_scan = b.planned_full_scan;
+    qspan.setSimDuration(b.total_time);
     qspan.end();
     return st;
 }
@@ -588,7 +615,7 @@ MithriLog::prunePages(std::span<const query::Query> queries,
             std::vector<PageId> set_pages;
             bool have_pages = have_lines;
             if (have_lines) {
-                set_pages = typed_index_->pagesForLines(lines);
+                set_pages = pagesForLines(lines);
             }
             // Then the positive keywords' index chains (read order
             // first, Section 6.3).
@@ -616,7 +643,7 @@ MithriLog::prunePages(std::span<const query::Query> queries,
             }
         }
     }
-    out->index_time = SimTime::max(
+    b.index_time = SimTime::max(
         max_lookup, SimTime::picoseconds(sum_ps / kOverlap));
     c.pages.assign(pages.begin(), pages.end());
     return c;
@@ -642,7 +669,7 @@ MithriLog::stagePages(std::span<const PageId> pages, Link link,
                 !compress::lzahVerifyPage(view).isOk()) {
                 counters_.crc_failed_pages->add();
                 counters_.pages_dropped->add();
-                ++out->pages_dropped;
+                ++out->breakdown.pages_dropped;
                 continue;
             }
             views->push_back(view);
@@ -661,7 +688,7 @@ MithriLog::stagePages(std::span<const PageId> pages, Link link,
         compress::Bytes buf;
         if (!ssd_.readOverlapped(id, link, &buf).isOk()) {
             counters_.pages_dropped->add();
-            ++out->pages_dropped;
+            ++out->breakdown.pages_dropped;
             continue;
         }
         bool ok = compress::lzahVerifyPage(buf).isOk();
@@ -678,7 +705,7 @@ MithriLog::stagePages(std::span<const PageId> pages, Link link,
         }
         if (!ok) {
             counters_.pages_dropped->add();
-            ++out->pages_dropped;
+            ++out->breakdown.pages_dropped;
             continue;
         }
         storage->push_back(std::move(buf));
@@ -699,6 +726,7 @@ MithriLog::execute(std::span<const PageId> pages,
     Status compiled = accel_.configure(queries);
     compile_timer.end();
     compile_span.end();
+    QueryBreakdown &b = out->breakdown;
     if (compiled.code() == StatusCode::kCapacityExceeded ||
         compiled.code() == StatusCode::kUnsupported) {
         // Software fallback (Section 4.2.1): every page crosses PCIe to
@@ -706,11 +734,11 @@ MithriLog::execute(std::span<const PageId> pages,
         // CPU side is a measured quantity, reported by the benches that
         // exercise it.
         counters_.query_fallbacks->add();
-        out->used_fallback = true;
+        b.used_fallback = true;
         obs::Span span = tracer_->span("query.fallback", "core");
         Status scanned = hostScan(data_pages_, queries, out);
-        out->total_time = out->index_time + out->storage_time;
-        span.setSimDuration(out->storage_time);
+        b.total_time = b.index_time + b.storage_time;
+        span.setSimDuration(b.storage_time);
         return scanned;
     }
     MITHRIL_RETURN_IF_ERROR(compiled);
@@ -731,9 +759,9 @@ MithriLog::execute(std::span<const PageId> pages,
     // charges under a fault plan can push it higher.
     SimTime stage_busy =
         SimTime::picoseconds(ssd_.elapsed().ps() - stage_start_ps);
-    out->storage_time = SimTime::max(
+    b.storage_time = SimTime::max(
         ssd_.timeBatchRead(pages.size(), Link::kInternal), stage_busy);
-    stream_span.setSimDuration(out->storage_time);
+    stream_span.setSimDuration(b.storage_time);
     stream_span.end();
 
     obs::Span filter_span = tracer_->span("query.filter", "core");
@@ -746,23 +774,20 @@ MithriLog::execute(std::span<const PageId> pages,
         // The filter pipeline choked on damage the page CRCs did not
         // cover: degrade to the host scan over the staged pages rather
         // than failing the query. The pages re-cross PCIe to the host.
-        out->degraded_software_scan = true;
+        b.degraded_software_scan = true;
         counters_.degraded_software_scans->add();
         obs::Span degrade =
             tracer_->span("query.degraded_software_scan", "core");
         ssd_.chargeOverlappedRead(views.size(), Link::kExternal);
         Status scanned = hostEvaluate(views, staged_ids, queries, out);
-        out->storage_time =
-            out->storage_time +
-            ssd_.timeBatchRead(views.size(), Link::kExternal);
-        out->total_time = out->index_time + out->storage_time +
-                          ssd_.config().read_latency;
-        degrade.setSimDuration(out->storage_time);
+        b.storage_time += ssd_.timeBatchRead(views.size(), Link::kExternal);
+        b.total_time = b.index_time + b.storage_time +
+                       ssd_.config().read_latency;
+        degrade.setSimDuration(b.storage_time);
         return scanned;
     }
     MITHRIL_RETURN_IF_ERROR(processed);
 
-    QueryBreakdown &b = out->breakdown;
     b.pages_with_matches = ar.pages_with_matches;
     if (b.candidate_pages > 0) {
         // The index nominated @p pages: those without a match are its
@@ -772,13 +797,25 @@ MithriLog::execute(std::span<const PageId> pages,
     }
     out->matched_lines = ar.lines_kept;
     out->lines = std::move(ar.kept);
+    // Kept lines come in batch page order; a page's first line comes
+    // from the directory once, when its first kept line arrives.
+    out->line_numbers.reserve(out->lines.size());
+    uint32_t page_index = 0;
+    uint64_t first_line = 0;
+    for (size_t i = 0; i < out->lines.size(); ++i) {
+        const accel::KeptLine &line = out->lines[i];
+        if (i == 0 || line.page_index != page_index) {
+            page_index = line.page_index;
+            first_line = firstLineOf(staged_ids[page_index]);
+        }
+        out->line_numbers.push_back(first_line + line.line_in_page);
+    }
     out->matched_per_query.assign(ar.kept_per_query.begin(),
                                   ar.kept_per_query.begin() +
                                       std::min<size_t>(
                                           queries.size(),
                                           ar.kept_per_query.size()));
-    out->pages_scanned = pages.size();
-    out->pages_total = data_pages_.size();
+    b.pages_scanned = pages.size();
     out->bytes_scanned = ar.decompressed_bytes;
     out->useful_ratio = ar.usefulRatio();
 
@@ -788,10 +825,10 @@ MithriLog::execute(std::span<const PageId> pages,
     // "fast enough to saturate the accelerator"). The slowest stage
     // paces the query; one read latency covers the un-overlapped first
     // hop.
-    out->compute_time = ar.computeTime(config_.accel.clock_hz);
-    out->total_time =
-        SimTime::max(out->index_time,
-                     SimTime::max(out->storage_time, out->compute_time)) +
+    b.compute_time = ar.computeTime(config_.accel.clock_hz);
+    b.total_time =
+        SimTime::max(b.index_time,
+                     SimTime::max(b.storage_time, b.compute_time)) +
         ssd_.config().read_latency;
     return Status::ok();
 }
@@ -808,7 +845,7 @@ MithriLog::hostScan(std::span<const PageId> pages,
                                        &staged, out, &staged_ids));
     SimTime stage_busy =
         SimTime::picoseconds(ssd_.elapsed().ps() - stage_start_ps);
-    out->storage_time = SimTime::max(
+    out->breakdown.storage_time = SimTime::max(
         ssd_.timeBatchRead(pages.size(), Link::kExternal), stage_busy);
     return hostEvaluate(views, staged_ids, queries, out);
 }
@@ -819,39 +856,31 @@ MithriLog::hostEvaluate(std::span<const compress::ByteView> views,
                         std::span<const query::Query> queries,
                         QueryResult *out)
 {
-    // First line of each staged page via the sealed-page directory, so
-    // every match carries its global ingest line number (the identity
-    // the oracle tests and the fan-out merge compare on).
-    const std::vector<typed::TypedIndex::PageSpan> &dir =
-        typed_index_->pageDirectory();
     std::vector<query::SoftwareMatcher> matchers(queries.begin(),
                                                  queries.end());
     out->matched_per_query.assign(queries.size(), 0);
 
-    std::vector<std::pair<uint64_t, accel::KeptLine>> hits;
     compress::Bytes text;
     for (size_t v = 0; v < views.size(); ++v) {
+        // Staged pages come in ascending id order, which is ingest
+        // order, so appending each page's matches keeps the result in
+        // line-number order.
+        MITHRIL_ASSERT(v == 0 || ids[v - 1] < ids[v]);
         // Decode per page so a mid-page decode failure (structural
         // damage past the CRC) drops that page cleanly.
         text.clear();
         if (!compress::lzahDecodePage(views[v], /*padded=*/false, &text)
                  .isOk()) {
             counters_.pages_dropped->add();
-            ++out->pages_dropped;
+            ++out->breakdown.pages_dropped;
             continue;
         }
         out->bytes_scanned += text.size();
-        auto it = std::lower_bound(
-            dir.begin(), dir.end(), ids[v],
-            [](const typed::TypedIndex::PageSpan &s, PageId id) {
-                return s.page < id;
-            });
-        MITHRIL_ASSERT(it != dir.end() && it->page == ids[v]);
-        uint64_t line_no = it->first_line;
+        uint64_t line_no = firstLineOf(ids[v]);
         uint32_t in_page = 0;
         forEachLine(asChars(text), [&](std::string_view line) {
-            bool matched = false;
             uint64_t mask = 0;
+            bool matched = false;
             for (size_t q = 0; q < matchers.size(); ++q) {
                 if (matchers[q].matches(line)) {
                     matched = true;
@@ -863,31 +892,16 @@ MithriLog::hostEvaluate(std::span<const compress::ByteView> views,
             }
             if (matched) {
                 ++out->matched_lines;
-                hits.emplace_back(
-                    line_no,
-                    accel::KeptLine{config_.accel.keep_lines
-                                        ? std::string(line)
-                                        : std::string(),
-                                    mask, static_cast<uint32_t>(v),
-                                    in_page});
+                out->lines.push_back(accel::KeptLine{
+                    std::string(line), mask, static_cast<uint32_t>(v),
+                    in_page});
+                out->line_numbers.push_back(line_no);
             }
             ++line_no;
             ++in_page;
         });
     }
-    // Candidate sets arrive in page-id order, which segment cleaning
-    // can decouple from ingest order: sort by global line number so
-    // the pruned and full-scan paths report byte-identical results.
-    std::sort(hits.begin(), hits.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
-    out->line_numbers.reserve(hits.size());
-    out->lines.reserve(hits.size());
-    for (auto &[line_no, kept] : hits) {
-        out->line_numbers.push_back(line_no);
-        out->lines.push_back(std::move(kept));
-    }
-    out->pages_scanned = views.size();
-    out->pages_total = data_pages_.size();
+    out->breakdown.pages_scanned = views.size();
     return Status::ok();
 }
 
@@ -1096,7 +1110,6 @@ MithriLog::recover(const std::string &path)
         // line, exactly the count ingest indexed the page with.
         indexPage(s.cp.page, rebuilt_lines, s.cp.lines);
         rebuilt_lines = s.cp.lines;
-        data_pages_.push_back(s.cp.page);
     }
     index_->flush();
     typed_index_->flush();
@@ -1202,8 +1215,6 @@ QueryBreakdown::toJson() const
     w.value(pages_with_matches);
     w.key("false_positive_pages");
     w.value(false_positive_pages);
-    w.key("matched_lines");
-    w.value(matched_lines);
     w.key("used_fallback");
     w.value(used_fallback);
     w.key("planned_full_scan");

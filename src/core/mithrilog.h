@@ -31,6 +31,7 @@
 #define MITHRIL_CORE_MITHRILOG_H
 
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -83,7 +84,8 @@ struct MithriLogConfig {
  * Structured attribution of one query run — the Table 7 split
  * (index vs. storage vs. compute) plus the page-pruning account, in
  * machine-readable form. SimTime fields are deterministic for a given
- * image + query; wall_seconds is host-measured and is not.
+ * image + query; wall_seconds is host-measured and is not. Each of
+ * these values lives here only; QueryResult holds the matches.
  */
 struct QueryBreakdown {
     SimTime index_time;    ///< modeled index traversal
@@ -100,9 +102,11 @@ struct QueryBreakdown {
      *  positives plus legitimately empty candidates). Zero when the
      *  index was bypassed. */
     uint64_t false_positive_pages = 0;
-    uint64_t matched_lines = 0;
 
+    /** The cuckoo compiler could not encode the batch: the software
+     *  path (Section 4.2.1) scanned every page on the host. */
     bool used_fallback = false;
+    /** The planner skipped index traversal (poor predicted pruning). */
     bool planned_full_scan = false;
     /** Index traversal hit unrecoverable damage; the query fell back
      *  to an accelerator full scan instead of trusting an incomplete
@@ -136,48 +140,34 @@ struct QueryBreakdown {
     std::string toJson() const;
 };
 
-/** End-to-end result of one query (or batch). */
+/**
+ * End-to-end result of one query (or batch). Every path — accelerator,
+ * typed tier, compile fallback, degraded scans — returns the same
+ * shape: the matched lines in ingest order, each with its global
+ * (store-local) ingest line number, so a result compares element by
+ * element against a host oracle over the corpus.
+ */
 struct QueryResult {
     uint64_t matched_lines = 0;
-    std::vector<accel::KeptLine> lines;       ///< when accel.keep_lines
-    /** Global (store-local) ingest line numbers parallel to `lines`;
-     *  filled on every path the host evaluates (typed tier, compile
-     *  fallback, degraded software scan), where match identity must be
-     *  byte-comparable against a host oracle. Empty when the
-     *  accelerator evaluated the batch. */
+    /** Matched lines, ascending by line number. */
+    std::vector<accel::KeptLine> lines;
+    /** Global ingest line numbers, parallel to `lines`. */
     std::vector<uint64_t> line_numbers;
     std::vector<uint64_t> matched_per_query;  ///< batched execution
 
-    uint64_t pages_scanned = 0;
-    uint64_t pages_total = 0;
     uint64_t bytes_scanned = 0;   ///< decompressed text streamed
+    double useful_ratio = 0.0;    ///< tokenized-datapath utilization
 
-    SimTime index_time;    ///< index traversal (storage latency bound)
-    SimTime storage_time;  ///< data page reads over the internal link
-    SimTime compute_time;  ///< accelerator cycles
-    SimTime total_time;    ///< index + max(storage, compute)
-
-    bool used_fallback = false;  ///< software path (compile failure)
-    /** Planner skipped index traversal (poor predicted pruning). */
-    bool planned_full_scan = false;
-    /** Corrupt index forced an accelerator full scan (see breakdown). */
-    bool degraded_index_scan = false;
-    /** Accelerator fault forced the host software scan. */
-    bool degraded_software_scan = false;
-    /** Typed posting-list damage forced a typed full scan. */
-    bool degraded_typed_scan = false;
-    /** Unreadable pages dropped after exhausting device retries. */
-    uint64_t pages_dropped = 0;
-    double useful_ratio = 0.0;   ///< tokenized-datapath utilization
-
-    /** Structured phase attribution (duplicates the scalar fields
-     *  above in reportable form, plus pruning/false-positive data). */
+    /** Phase times, page accounts and path flags. */
     QueryBreakdown breakdown;
+    /** breakdown.planned_full_scan, copied once at the end of the run
+     *  for perfbench/wl_search.cc, which reads it here. */
+    bool planned_full_scan = false;
 
     /** Effective throughput against the original dataset size. */
     double effectiveThroughput(uint64_t dataset_bytes) const
     {
-        return throughputBps(dataset_bytes, total_time);
+        return throughputBps(dataset_bytes, breakdown.total_time);
     }
 };
 
@@ -280,11 +270,32 @@ class MithriLog
     bool recovered() const { return recovered_; }
 
     /** Data pages in ingest order (tests and ablations; the journal
-     *  owns the device's leading pages, so "page 0" is not data). */
+     *  owns the device's leading pages, so "page 0" is not data). Ids
+     *  ascend: pages are allocated in ingest order, a mount keeps their
+     *  ids, and ids are never reused (notePage checks it). */
     const std::vector<storage::PageId> &dataPages() const
     {
         return data_pages_;
     }
+
+    /** Lines [first_line, first_line + line_count) of one data page. */
+    struct PageSpan {
+        uint64_t first_line;
+        uint64_t line_count;
+    };
+
+    /** The page directory: entry i spans dataPages()[i], so first
+     *  lines ascend with page ids. Typed postings map to pages and
+     *  matches to line numbers through it. */
+    const std::vector<PageSpan> &pageDirectory() const
+    {
+        return page_dir_;
+    }
+
+    /** Data pages holding @p lines (ascending input; ascending unique
+     *  output), via the page directory. */
+    std::vector<storage::PageId>
+    pagesForLines(std::span<const uint64_t> lines) const;
 
     /** raw bytes / compressed data page bytes. */
     double compressionRatio() const;
@@ -435,9 +446,9 @@ class MithriLog
      * The one pruning function. Per intersection set, intersects the
      * set's typed posting lists (line sets mapped to data pages), then
      * the index chains of its positive keyword terms, in term order;
-     * the batch's candidates are the union over its sets. Sets
-     * out->index_time, with independent chains overlapped across
-     * channels, and the breakdown's typed index traffic.
+     * the batch's candidates are the union over its sets. Sets the
+     * breakdown's index_time, with independent chains overlapped
+     * across channels, and its typed index traffic.
      */
     Candidates prunePages(std::span<const query::Query> queries,
                           QueryResult *out);
@@ -447,11 +458,11 @@ class MithriLog
      * CRC. With a fault plan attached the reads go page-at-a-time
      * (faultable, retried); CRC rejections trigger re-reads up to the
      * plan's retry budget. Pages still unreadable are dropped and
-     * counted (`out->pages_dropped`), never passed on corrupt.
-     * @p storage owns faulted copies; @p views index into it (or
-     * zero-copy into the store on the unfaulted path). @p staged_ids
-     * receives the page id of each surviving view in order (the host
-     * evaluator numbers lines per source page).
+     * counted (the breakdown's pages_dropped), never passed on
+     * corrupt. @p storage owns faulted copies; @p views index into it
+     * (or zero-copy into the store on the unfaulted path).
+     * @p staged_ids receives the page id of each surviving view in
+     * order, so kept lines can be numbered per source page.
      */
     Status stagePages(std::span<const storage::PageId> pages,
                       storage::Link link,
@@ -460,16 +471,17 @@ class MithriLog
                       QueryResult *out,
                       std::vector<storage::PageId> *staged_ids);
 
-    /** Streams @p pages through the accelerator and fills @p out.
-     *  Falls back to hostScan over every data page when the cuckoo
-     *  compiler cannot encode the batch, and degrades to hostEvaluate
-     *  over the staged pages when the filter pipeline faults. */
+    /** Streams @p pages through the accelerator and fills @p out,
+     *  numbering the kept lines through the page directory. Falls back
+     *  to hostScan over every data page when the cuckoo compiler
+     *  cannot encode the batch, and degrades to hostEvaluate over the
+     *  staged pages when the filter pipeline faults. */
     Status execute(std::span<const storage::PageId> pages,
                    std::span<const query::Query> queries,
                    QueryResult *out);
 
-    /** Stages @p pages to the host over the external link, sets
-     *  out->storage_time, and evaluates them with hostEvaluate. */
+    /** Stages @p pages to the host over the external link, sets the
+     *  breakdown's storage_time, and evaluates them with hostEvaluate. */
     Status hostScan(std::span<const storage::PageId> pages,
                     std::span<const query::Query> queries,
                     QueryResult *out);
@@ -479,8 +491,8 @@ class MithriLog
      * and matches every line against the batch exactly (keyword terms
      * and typed predicates), filling match counts, kept lines and
      * global line numbers, in ingest order. @p ids are the staged
-     * pages' ids, parallel to @p views. Pages that fail to decode are
-     * dropped and counted.
+     * pages' ids, parallel to @p views and ascending. Pages that fail
+     * to decode are dropped and counted.
      */
     Status hostEvaluate(std::span<const compress::ByteView> views,
                         std::span<const storage::PageId> ids,
@@ -504,11 +516,19 @@ class MithriLog
      * The per-page half: registers data page @p page, which holds lines
      * [@p first_line, @p end_line), with the keyword index (its
      * distinct tokens in byte order, stamped @p end_line) and with the
-     * typed page directory, then empties the token set for the next
-     * page.
+     * page directory, then empties the token set for the next page.
      */
     void indexPage(storage::PageId page, uint64_t first_line,
                    uint64_t end_line);
+
+    /** Appends data page @p page, holding lines [@p first_line,
+     *  @p end_line), to dataPages() and the page directory. Pages
+     *  arrive in ingest order with ascending ids. */
+    void notePage(storage::PageId page, uint64_t first_line,
+                  uint64_t end_line);
+
+    /** First line of staged data page @p page, via the directory. */
+    uint64_t firstLineOf(storage::PageId page) const;
 
     /** Durable page commit: program the data page, journal the commit
      *  record, pass the barrier (ack point), then index the page. Any
@@ -575,9 +595,8 @@ class MithriLog
     storage::SsdModel ssd_;
     storage::Journal journal_;
     std::unique_ptr<index::InvertedIndex> index_;
-    /** Typed-field pseudo-indexes (DESIGN.md §15). Always constructed:
-     *  its page directory numbers lines for the typed tier even when
-     *  use_typed_index is off (extraction is then skipped). */
+    /** Typed-field pseudo-indexes (DESIGN.md §15); extraction is
+     *  skipped when use_typed_index is off. */
     std::unique_ptr<typed::TypedIndex> typed_index_;
     accel::Accelerator accel_;
 
@@ -608,7 +627,9 @@ class MithriLog
      *  in-memory state no longer matches the media, so every mutating
      *  call fails until the image is recovered on a fresh system. */
     bool dead_ = false;
+    /** Sealed data pages and their line spans, entry for entry. */
     std::vector<storage::PageId> data_pages_;
+    std::vector<PageSpan> page_dir_;
 };
 
 } // namespace mithril::core

@@ -300,7 +300,7 @@ SoakDriver::run(SoakReport *out)
                     lag = std::max(lag, busy_until_ps[i] - now_ps);
                 }
             }
-            uint64_t e2e = lag + r.total_time.ps();
+            uint64_t e2e = lag + r.breakdown.total_time.ps();
             query_e2e.record(e2e);
             ++out->completed_queries;
             out->matched_lines += r.matched_lines;

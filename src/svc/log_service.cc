@@ -457,8 +457,9 @@ LogService::query(const query::Query &q, ServiceQueryResult *out)
                 obs::StageTimer shard_timer(&stages_.shard_query);
                 counters_.shard_queries->add();
                 statuses[i] = s.log->run(q, &results[i]);
-                span.setSimDuration(results[i].total_time);
-                shard_timer.setSimDuration(results[i].total_time);
+                SimTime modeled = results[i].breakdown.total_time;
+                span.setSimDuration(modeled);
+                shard_timer.setSimDuration(modeled);
             }
             MutexLock lock(done_mu);
             if (++done == n) {
@@ -477,9 +478,9 @@ LogService::query(const query::Query &q, ServiceQueryResult *out)
 
     double seconds = wall.seconds();
     mergeResults(results, seconds, out);
-    fanout.setSimDuration(out->total_time);
+    fanout.setSimDuration(out->breakdown.total_time);
     fanout.end();
-    fanout_timer.setSimDuration(out->total_time);
+    fanout_timer.setSimDuration(out->breakdown.total_time);
     fanout_timer.end();
 
     for (const Status &st : statuses) {
@@ -505,16 +506,15 @@ LogService::mergeResults(std::vector<core::QueryResult> &shard_results,
     obs::Span span = tracer_->span("svc.merge", "svc");
     obs::StageTimer merge_timer(&stages_.merge);
     out->per_shard.reserve(shard_results.size());
+    core::QueryBreakdown &b = out->breakdown;
     for (core::QueryResult &r : shard_results) {
-        // Deterministic merge: shard index order, shard-local order
+        // Deterministic merge: shard index order, line-number order
         // within — (shard, lineNo) — independent of which worker
         // finished first.
         out->matched_lines += r.matched_lines;
         out->lines.insert(out->lines.end(),
                           std::make_move_iterator(r.lines.begin()),
                           std::make_move_iterator(r.lines.end()));
-        // Typed-tier line numbers stay shard-local (each shard numbers
-        // its own ingest stream); shard order keeps them deterministic.
         out->line_numbers.insert(out->line_numbers.end(),
                                  r.line_numbers.begin(),
                                  r.line_numbers.end());
@@ -524,36 +524,21 @@ LogService::mergeResults(std::vector<core::QueryResult> &shard_results,
         for (size_t qi = 0; qi < r.matched_per_query.size(); ++qi) {
             out->matched_per_query[qi] += r.matched_per_query[qi];
         }
-        out->pages_scanned += r.pages_scanned;
-        out->pages_total += r.pages_total;
-        out->pages_dropped += r.pages_dropped;
         out->bytes_scanned += r.bytes_scanned;
+
+        const core::QueryBreakdown &sb = r.breakdown;
         // Shards run concurrently: the slowest shard paces each phase
         // and the fan-out total.
-        out->index_time = SimTime::max(out->index_time, r.index_time);
-        out->storage_time =
-            SimTime::max(out->storage_time, r.storage_time);
-        out->compute_time =
-            SimTime::max(out->compute_time, r.compute_time);
-        out->total_time = SimTime::max(out->total_time, r.total_time);
-        out->per_shard.push_back(r.breakdown);
-    }
-    out->wall_seconds = wall_seconds;
-
-    core::QueryBreakdown &b = out->breakdown;
-    b.index_time = out->index_time;
-    b.storage_time = out->storage_time;
-    b.compute_time = out->compute_time;
-    b.total_time = out->total_time;
-    b.pages_scanned = out->pages_scanned;
-    b.pages_total = out->pages_total;
-    b.pages_dropped = out->pages_dropped;
-    b.matched_lines = out->matched_lines;
-    b.wall_seconds = wall_seconds;
-    for (const core::QueryBreakdown &sb : out->per_shard) {
+        b.index_time = SimTime::max(b.index_time, sb.index_time);
+        b.storage_time = SimTime::max(b.storage_time, sb.storage_time);
+        b.compute_time = SimTime::max(b.compute_time, sb.compute_time);
+        b.total_time = SimTime::max(b.total_time, sb.total_time);
         b.candidate_pages += sb.candidate_pages;
+        b.pages_scanned += sb.pages_scanned;
+        b.pages_total += sb.pages_total;
         b.pages_with_matches += sb.pages_with_matches;
         b.false_positive_pages += sb.false_positive_pages;
+        b.pages_dropped += sb.pages_dropped;
         b.read_retries += sb.read_retries;
         b.used_fallback = b.used_fallback || sb.used_fallback;
         b.planned_full_scan =
@@ -567,7 +552,10 @@ LogService::mergeResults(std::vector<core::QueryResult> &shard_results,
         b.typed_index_bytes += sb.typed_index_bytes;
         b.degraded_typed_scan =
             b.degraded_typed_scan || sb.degraded_typed_scan;
+        out->per_shard.push_back(sb);
     }
+    b.wall_seconds = wall_seconds;
+    out->total_time = b.total_time;
     counters_.shard_imbalance_pct->set(out->shardImbalancePct());
 }
 

@@ -109,40 +109,32 @@ struct LogServiceConfig {
     obs::Tracer *tracer = nullptr;
 };
 
-/** Merged result of one fanned-out query. */
+/**
+ * Merged result of one fanned-out query: each shard's matches, in
+ * shard order and in line-number order within a shard, so the merge is
+ * by (shard, line number) and byte-identical across worker counts,
+ * whichever path each shard's query took.
+ */
 struct ServiceQueryResult {
     uint64_t matched_lines = 0;
-    /** Kept lines, concatenated in shard order (shard-local order
-     *  within); byte-identical across worker counts. */
     std::vector<accel::KeptLine> lines;
-    /** Shard-local line numbers of the lines the shards' host
-     *  evaluators kept (core::QueryResult::line_numbers: typed tier,
-     *  compile fallback, degraded software scan), concatenated in shard
-     *  order; parallel to `lines` when every shard evaluated on the
-     *  host, empty when every shard used the accelerator. */
+    /** Shard-local ingest line numbers, parallel to `lines` (each
+     *  shard numbers its own ingest stream). */
     std::vector<uint64_t> line_numbers;
     std::vector<uint64_t> matched_per_query;
-
-    uint64_t pages_scanned = 0;
-    uint64_t pages_total = 0;
-    uint64_t pages_dropped = 0;
     uint64_t bytes_scanned = 0;
 
-    /** Modeled roll-up: shards run in parallel, so each phase (and the
-     *  total) is the max over shards; one shard's serialized interior
-     *  structure is preserved inside its own breakdown. */
-    SimTime index_time;
-    SimTime storage_time;
-    SimTime compute_time;
-    SimTime total_time;
-
-    /** Aggregated breakdown (times max-over-shards, counts summed). */
+    /** Roll-up of the shards' breakdowns: shards run in parallel, so
+     *  each phase time (and the total) is the max over shards, counts
+     *  are summed and path flags OR-ed; wall_seconds is the fan-out's
+     *  host time, merge included. */
     core::QueryBreakdown breakdown;
-    /** Each shard's own breakdown, indexed by shard. */
+    /** Each shard's own breakdown, indexed by shard; one shard's
+     *  serialized interior structure is preserved inside it. */
     std::vector<core::QueryBreakdown> per_shard;
-
-    /** Host-measured fan-out wall time (merge included). */
-    double wall_seconds = 0.0;
+    /** breakdown.total_time, copied once by the merge for
+     *  perfbench/wl_live.cc, which reads it here. */
+    SimTime total_time;
 
     /** Load imbalance across shards in percent:
      *  100 * (1 - mean/max) over per-shard modeled total time.

@@ -86,16 +86,6 @@ TypedIndex::addLine(std::span<const std::string_view> tokens,
 }
 
 void
-TypedIndex::notePage(storage::PageId page, uint64_t first_line,
-                     uint64_t line_count)
-{
-    MITHRIL_ASSERT(page_dir_.empty() ||
-                   (page_dir_.back().page < page &&
-                    page_dir_.back().first_line <= first_line));
-    page_dir_.push_back(PageSpan{page, first_line, line_count});
-}
-
-void
 TypedIndex::flushPageBuffer(std::vector<uint8_t> *payload,
                             std::vector<const TypedKey *> *page_keys)
 {
@@ -300,37 +290,10 @@ TypedIndex::lookup(const Predicate &pred)
     return result;
 }
 
-std::vector<storage::PageId>
-TypedIndex::pagesForLines(std::span<const uint64_t> lines) const
-{
-    std::vector<storage::PageId> pages;
-    for (uint64_t line : lines) {
-        // page_dir_ is ascending by first_line (pages seal in order).
-        auto it = std::upper_bound(
-            page_dir_.begin(), page_dir_.end(), line,
-            [](uint64_t l, const PageSpan &span) {
-                return l < span.first_line;
-            });
-        if (it == page_dir_.begin()) {
-            continue;
-        }
-        --it;
-        if (line < it->first_line + it->line_count) {
-            if (pages.empty() || pages.back() != it->page) {
-                pages.push_back(it->page);
-            }
-        }
-    }
-    std::sort(pages.begin(), pages.end());
-    pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
-    return pages;
-}
-
 size_t
 TypedIndex::memoryFootprint() const
 {
-    size_t total = sizeof(*this)
-                   + page_dir_.capacity() * sizeof(PageSpan);
+    size_t total = sizeof(*this);
     for (const auto &[key, entry] : keys_) {
         total += sizeof(TypedKey) + key.bytes.capacity()
                  + sizeof(KeyEntry)

@@ -7,7 +7,8 @@
  * maps normalized typed keys (IPs, MACs, hex ids, timestamps) to *line
  * numbers* — the logpi model: a tiny side index that answers "which
  * lines mention this address" without touching the compressed data at
- * all, then maps the hit lines back to the exact data pages to stage.
+ * all. core::MithriLog's page directory maps the hit lines back to the
+ * exact data pages to stage.
  *
  * Layout: an in-memory sorted key directory (key -> pending postings +
  * the device pages already holding flushed postings) over CRC-framed
@@ -73,38 +74,11 @@ class TypedIndex
     void addLine(std::span<const std::string_view> tokens,
                  uint64_t line_no);
 
-    /** Registers a sealed data page covering lines
-     *  [@p first_line, @p first_line + @p line_count) — the directory
-     *  that maps posting hits back to data pages. Pages arrive in
-     *  ingest order with ascending ids. */
-    void notePage(storage::PageId page, uint64_t first_line,
-                  uint64_t line_count);
-
     /** Packs all pending postings into posting pages on the device. */
     void flush();
 
     /** Resolves @p pred against flushed pages + the pending tail. */
     LookupResult lookup(const Predicate &pred);
-
-    /** Data pages holding @p lines (ascending input; sorted unique
-     *  output), via the sealed-page directory. */
-    std::vector<storage::PageId>
-    pagesForLines(std::span<const uint64_t> lines) const;
-
-    /** One sealed data page's line span. */
-    struct PageSpan {
-        storage::PageId page;
-        uint64_t first_line;
-        uint64_t line_count;
-    };
-
-    /** Sealed-page directory, ascending by first_line and by page id:
-     *  data pages are allocated in ingest order, a mount keeps their
-     *  ids, and ids are never reused (notePage checks it). */
-    const std::vector<PageSpan> &pageDirectory() const
-    {
-        return page_dir_;
-    }
 
     /** Distinct keys currently tracked (tests/diagnostics). */
     size_t keyCount() const { return keys_.size(); }
@@ -133,7 +107,6 @@ class TypedIndex
 
     storage::SsdModel *ssd_;
     std::map<TypedKey, KeyEntry> keys_;
-    std::vector<PageSpan> page_dir_;
 
     std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
     /** `typed.*` handles, resolved once at construction. */

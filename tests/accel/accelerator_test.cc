@@ -193,19 +193,6 @@ TEST(AcceleratorTest, UsefulRatioReported)
     EXPECT_NEAR(result.usefulRatio(), 0.125, 0.01);
 }
 
-TEST(AcceleratorTest, KeepLinesDisabledStillCounts)
-{
-    auto pages = makePages({"hit a", "hit b", "miss"});
-    Accelerator accel(AccelConfig{.keep_lines = false});
-    ASSERT_TRUE(accel.configure(mustParse("hit")).isOk());
-    AccelResult result;
-    ASSERT_TRUE(accel.process(views(pages), Mode::kFilter,
-                              &result).isOk());
-    EXPECT_EQ(result.lines_kept, 2u);
-    EXPECT_TRUE(result.kept.empty());
-    EXPECT_EQ(result.kept_per_query[0], 2u);
-}
-
 /** A hash64 chain over values and byte strings, in the order added. */
 class Digest
 {
@@ -396,7 +383,8 @@ TEST(AcceleratorTest, ResultDigestIsStable)
         }
     }
     EXPECT_GT(kept, 0u);
-    EXPECT_EQ(digest.value(), 0x8ded361b2275fa6full) << std::hex << digest.value();
+    EXPECT_EQ(digest.value(), 0x8ded361b2275fa6full)
+        << std::hex << digest.value();
 }
 
 } // namespace

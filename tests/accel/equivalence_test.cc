@@ -3,12 +3,10 @@
  * The repository's core correctness property: the emulated hardware
  * filter and the reference SoftwareMatcher implement identical
  * semantics. Randomized queries over randomized log-like corpora must
- * agree line for line, across negations, unions, long tokens, and
- * batched execution.
+ * agree line for line, in corpus order, across negations, unions, long
+ * tokens, and batched execution.
  */
 #include <gtest/gtest.h>
-
-#include <set>
 
 #include "accel/accelerator.h"
 #include "common/text.h"
@@ -23,6 +21,33 @@ namespace {
 using test::makePages;
 using test::randomCorpus;
 using test::randomQuery;
+
+/** The texts of @p r's kept lines, in the order process() returned
+ *  them. */
+std::vector<std::string_view>
+keptTexts(const AccelResult &r)
+{
+    std::vector<std::string_view> out;
+    for (const KeptLine &line : r.kept) {
+        out.push_back(line.text);
+    }
+    return out;
+}
+
+/** The lines of @p corpus that SoftwareMatcher keeps for @p q, in
+ *  corpus order. */
+std::vector<std::string_view>
+matchedTexts(const query::Query &q, const std::vector<std::string> &corpus)
+{
+    query::SoftwareMatcher matcher(q);
+    std::vector<std::string_view> out;
+    for (const std::string &line : corpus) {
+        if (matcher.matches(line)) {
+            out.push_back(line);
+        }
+    }
+    return out;
+}
 
 class EquivalenceTest : public ::testing::TestWithParam<uint64_t>
 {
@@ -54,20 +79,9 @@ TEST_P(EquivalenceTest, AcceleratorAgreesWithSoftwareMatcher)
         ASSERT_TRUE(accel.process(page_views, Mode::kFilter,
                                   &result).isOk());
 
-        query::SoftwareMatcher matcher(q);
-        std::set<std::string> expected;
-        uint64_t expected_count = 0;
-        for (const std::string &line : corpus) {
-            if (matcher.matches(line)) {
-                expected.insert(line);
-                ++expected_count;
-            }
-        }
-        EXPECT_EQ(result.lines_kept, expected_count) << q.toString();
-        for (const KeptLine &line : result.kept) {
-            EXPECT_TRUE(expected.count(line.text))
-                << q.toString() << " kept '" << line.text << "'";
-        }
+        EXPECT_EQ(keptTexts(result), matchedTexts(q, corpus))
+            << q.toString();
+        EXPECT_EQ(result.lines_kept, result.kept.size()) << q.toString();
     }
 }
 
@@ -112,14 +126,8 @@ TEST_P(EquivalenceOnRealisticLogsTest, SyntheticHpcCorpus)
         ASSERT_TRUE(accel.process(page_views, Mode::kFilter,
                                   &result).isOk());
 
-        query::SoftwareMatcher matcher(q);
-        uint64_t expected = 0;
-        for (const std::string &line : corpus) {
-            if (matcher.matches(line)) {
-                ++expected;
-            }
-        }
-        EXPECT_EQ(result.lines_kept, expected) << text_q;
+        EXPECT_EQ(keptTexts(result), matchedTexts(q, corpus)) << text_q;
+        EXPECT_EQ(result.lines_kept, result.kept.size()) << text_q;
     }
 }
 

@@ -9,8 +9,9 @@
  *   durability:  recovered lines R >= acknowledged (durable) lines A;
  *   prefix:      R <= the lines fed, and every contract query keeps
  *                exactly the lines query::SoftwareMatcher keeps over
- *                the first R lines of the ingest stream — no phantom
- *                and no missing match;
+ *                the first R lines of the ingest stream, in ingest
+ *                order and with their line numbers — no phantom, no
+ *                missing and no misplaced match;
  *   determinism: a replay of the cut dumps a byte-identical device
  *                image and recovers to the same outcome.
  */
@@ -20,7 +21,6 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -76,9 +76,18 @@ life2Corpus()
  *  the prefix itself. */
 inline constexpr std::string_view kContractQueries[] = {"packet", "Dec"};
 
-using Kept = std::vector<std::vector<std::string>>;
+/** One contract query's answer: the kept lines in ingest order, and
+ *  their line numbers. */
+struct Answer {
+    std::vector<std::string> texts;
+    std::vector<uint64_t> line_numbers;
 
-/** Line texts each contract query keeps over @p store. */
+    bool operator==(const Answer &) const = default;
+};
+
+using Kept = std::vector<Answer>;
+
+/** What each contract query keeps over @p store. */
 inline Kept
 keptLines(MithriLog *store)
 {
@@ -87,16 +96,17 @@ keptLines(MithriLog *store)
         QueryResult r;
         Status st = store->run(text, &r);
         EXPECT_TRUE(st.isOk()) << text << ": " << st.toString();
-        std::vector<std::string> &out = kept.emplace_back();
+        Answer &out = kept.emplace_back();
         for (const accel::KeptLine &line : r.lines) {
-            out.push_back(line.text);
+            out.texts.push_back(line.text);
         }
+        out.line_numbers = std::move(r.line_numbers);
     }
     return kept;
 }
 
-/** Line texts each contract query keeps over @p prefix, by the
- *  software matcher. */
+/** What each contract query keeps over @p prefix, by the software
+ *  matcher; line i of @p prefix is line number i. */
 inline Kept
 oracle(Lines prefix)
 {
@@ -106,26 +116,13 @@ oracle(Lines prefix)
         Status st = query::parseQuery(text, &q);
         EXPECT_TRUE(st.isOk()) << text << ": " << st.toString();
         query::SoftwareMatcher matcher(q);
-        std::vector<std::string> &out = kept.emplace_back();
-        for (const std::string &line : prefix) {
-            if (matcher.matches(line)) {
-                out.push_back(line);
+        Answer &out = kept.emplace_back();
+        for (uint64_t i = 0; i < prefix.size(); ++i) {
+            if (matcher.matches(prefix[i])) {
+                out.texts.push_back(prefix[i]);
+                out.line_numbers.push_back(i);
             }
         }
-    }
-    return kept;
-}
-
-/**
- * @p kept with each query's lines sorted. The accelerator returns a
- * query's kept lines pipeline by pipeline, not in ingest order (see
- * QueryResult::line_numbers), so the oracle compares them as multisets.
- */
-inline Kept
-sorted(Kept kept)
-{
-    for (std::vector<std::string> &lines : kept) {
-        std::sort(lines.begin(), lines.end());
     }
     return kept;
 }
@@ -182,7 +179,7 @@ contractViolations(const CutOutcome &o, Lines stream,
     if (o.recovered > stream.size()) {
         v.push_back("recovered more than the " +
                     std::to_string(stream.size()) + " lines fed" + at);
-    } else if (sorted(o.kept) != sorted(oracle(stream.first(o.recovered)))) {
+    } else if (o.kept != oracle(stream.first(o.recovered))) {
         v.push_back("kept lines differ from the prefix oracle" + at);
     }
     if (replay != nullptr &&

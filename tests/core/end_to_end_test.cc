@@ -15,8 +15,10 @@
 
 #include "baseline/scan_db.h"
 #include "baseline/splunk_lite.h"
+#include "common/text.h"
 #include "core/mithrilog.h"
 #include "loggen/log_generator.h"
+#include "query/matcher.h"
 #include "query/parser.h"
 #include "templates/ft_tree.h"
 
@@ -117,14 +119,14 @@ TEST_F(CrossEngineTest, IndexAndFullScanAgree)
          "daemon | parity",
          true, true},
     };
-    auto sortedTexts = [](const QueryResult &r) {
-        std::vector<std::string> texts;
+    auto texts = [](const QueryResult &r) {
+        std::vector<std::string_view> out;
         for (const accel::KeptLine &line : r.lines) {
-            texts.push_back(line.text);
+            out.push_back(line.text);
         }
-        std::sort(texts.begin(), texts.end());
-        return texts;
+        return out;
     };
+    const std::vector<std::string_view> corpus = splitLines(*text_);
     for (const Row &row : rows) {
         query::Query q = mustParse(row.query);
         QueryResult indexed, scanned;
@@ -134,14 +136,30 @@ TEST_F(CrossEngineTest, IndexAndFullScanAgree)
             << row.query;
         EXPECT_EQ(indexed.planned_full_scan, row.planned_full_scan)
             << row.query;
-        EXPECT_EQ(indexed.used_fallback, row.used_fallback) << row.query;
+        EXPECT_EQ(indexed.breakdown.used_fallback, row.used_fallback)
+            << row.query;
         EXPECT_GT(indexed.matched_lines, 0u) << row.query;
         EXPECT_EQ(indexed.matched_lines, scanned.matched_lines)
             << row.query;
         EXPECT_EQ(indexed.lines.size(), indexed.matched_lines)
             << row.query;
-        EXPECT_EQ(sortedTexts(indexed), sortedTexts(scanned)) << row.query;
-        EXPECT_LE(indexed.pages_scanned, scanned.pages_scanned)
+        // Both plans return the oracle's lines, in ingest order, with
+        // their line numbers.
+        query::SoftwareMatcher matcher(q);
+        std::vector<std::string_view> want;
+        std::vector<uint64_t> want_numbers;
+        for (uint64_t i = 0; i < corpus.size(); ++i) {
+            if (matcher.matches(corpus[i])) {
+                want.push_back(corpus[i]);
+                want_numbers.push_back(i);
+            }
+        }
+        EXPECT_EQ(texts(indexed), want) << row.query;
+        EXPECT_EQ(indexed.line_numbers, want_numbers) << row.query;
+        EXPECT_EQ(texts(scanned), want) << row.query;
+        EXPECT_EQ(scanned.line_numbers, want_numbers) << row.query;
+        EXPECT_LE(indexed.breakdown.pages_scanned,
+                  scanned.breakdown.pages_scanned)
             << row.query;
     }
 }

@@ -50,7 +50,7 @@ TEST(FailureInjectionTest, CorruptedPageDegradesGracefully)
     QueryResult clean;
     ASSERT_TRUE(system.run(mustParse("nominal"), &clean).isOk());
     EXPECT_EQ(clean.matched_lines, 2000u);
-    EXPECT_EQ(clean.pages_dropped, 0u);
+    EXPECT_EQ(clean.breakdown.pages_dropped, 0u);
 
     // Smash the first data page's header: its damage is persistent
     // (no fault plan), so the page is dropped — the query must still
@@ -63,7 +63,7 @@ TEST(FailureInjectionTest, CorruptedPageDegradesGracefully)
     QueryResult r;
     Status st = system.run(mustParse("nominal"), &r);
     ASSERT_TRUE(st.isOk()) << st.toString();
-    EXPECT_EQ(r.pages_dropped, 1u);
+    EXPECT_EQ(r.breakdown.pages_dropped, 1u);
     EXPECT_EQ(r.breakdown.pages_dropped, 1u);
     EXPECT_LT(r.matched_lines, clean.matched_lines);
     EXPECT_GT(r.matched_lines, 0u);
@@ -148,7 +148,7 @@ TEST(FailureInjectionTest, QueriesOnEmptySystem)
     QueryResult r;
     ASSERT_TRUE(system.run(mustParse("anything"), &r).isOk());
     EXPECT_EQ(r.matched_lines, 0u);
-    EXPECT_EQ(r.pages_total, 0u);
+    EXPECT_EQ(r.breakdown.pages_total, 0u);
 }
 
 TEST(FailureInjectionTest, DoubleFlushIsIdempotent)

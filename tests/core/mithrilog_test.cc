@@ -59,7 +59,7 @@ TEST(MithriLogTest, QueryCountsMatchCorpusStructure)
     QueryResult r;
     ASSERT_TRUE(system.run(mustParse("KERNEL & INFO"), &r).isOk());
     EXPECT_EQ(r.matched_lines, 1000u);
-    EXPECT_FALSE(r.used_fallback);
+    EXPECT_FALSE(r.breakdown.used_fallback);
 
     ASSERT_TRUE(system.run(mustParse("KERNEL & !FATAL"), &r).isOk());
     EXPECT_EQ(r.matched_lines, 1000u);
@@ -81,8 +81,8 @@ TEST(MithriLogTest, IndexPrunesPages)
     ASSERT_TRUE(system.run(mustParse("UNIQUETOKEN"), &r).isOk());
     EXPECT_EQ(r.matched_lines, 1u);
     // The single-token query must touch far fewer pages than exist.
-    EXPECT_LT(r.pages_scanned, r.pages_total / 2);
-    EXPECT_GT(r.index_time.ps(), 0u);
+    EXPECT_LT(r.breakdown.pages_scanned, r.breakdown.pages_total / 2);
+    EXPECT_GT(r.breakdown.index_time.ps(), 0u);
 }
 
 TEST(MithriLogTest, QueryTimeBreakdownIsConsistent)
@@ -92,8 +92,9 @@ TEST(MithriLogTest, QueryTimeBreakdownIsConsistent)
     EXPECT_TRUE(system.flush().isOk());
     QueryResult r;
     ASSERT_TRUE(system.run(mustParse("KERNEL"), &r).isOk());
-    EXPECT_GE(r.total_time.ps(),
-              std::max(r.storage_time.ps(), r.compute_time.ps()));
+    const QueryBreakdown &b = r.breakdown;
+    EXPECT_GE(b.total_time.ps(),
+              std::max(b.storage_time.ps(), b.compute_time.ps()));
     EXPECT_GT(r.effectiveThroughput(system.rawBytes()), 0.0);
 }
 
@@ -105,8 +106,8 @@ TEST(MithriLogTest, FullScanTouchesAllPages)
     std::vector<query::Query> queries{mustParse("INFO")};
     QueryResult r;
     ASSERT_TRUE(system.runFullScan(queries, &r).isOk());
-    EXPECT_EQ(r.pages_scanned, r.pages_total);
-    EXPECT_EQ(r.index_time.ps(), 0u);
+    EXPECT_EQ(r.breakdown.pages_scanned, r.breakdown.pages_total);
+    EXPECT_EQ(r.breakdown.index_time.ps(), 0u);
     EXPECT_EQ(r.matched_lines, 1000u);
 }
 
@@ -136,7 +137,7 @@ TEST(MithriLogTest, FallbackOnNonOffloadableQuery)
         "interrupt");
     QueryResult r;
     ASSERT_TRUE(system.run(q, &r).isOk());
-    EXPECT_TRUE(r.used_fallback);
+    EXPECT_TRUE(r.breakdown.used_fallback);
     EXPECT_GT(r.matched_lines, 0u);
 
     // The fallback returns the lines it counts, in ingest order, and
@@ -163,9 +164,9 @@ TEST(MithriLogTest, DegradedSoftwareScanReturnsKeptLines)
     // cleanly, then fails decode in the filter pipeline, so the query
     // degrades to the host evaluator, which drops only that page.
     ASSERT_GT(system.dataPageCount(), 2u);
-    const typed::TypedIndex::PageSpan bad =
-        system.typedIndex().pageDirectory()[1];
-    std::span<uint8_t> page = system.ssd().store().mutablePage(bad.page);
+    const MithriLog::PageSpan bad = system.pageDirectory()[1];
+    std::span<uint8_t> page =
+        system.ssd().store().mutablePage(system.dataPages()[1]);
     uint32_t items = 0xffff;
     uint32_t bytes = items * compress::kLzahWord;
     std::memcpy(page.data(), &items, sizeof items);
@@ -174,8 +175,8 @@ TEST(MithriLogTest, DegradedSoftwareScanReturnsKeptLines)
     query::Query q = mustParse("INFO");
     QueryResult r;
     ASSERT_TRUE(system.run(q, &r).isOk());
-    EXPECT_TRUE(r.degraded_software_scan);
-    EXPECT_EQ(r.pages_dropped, 1u);
+    EXPECT_TRUE(r.breakdown.degraded_software_scan);
+    EXPECT_EQ(r.breakdown.pages_dropped, 1u);
 
     query::SoftwareMatcher matcher(q);
     std::vector<std::string_view> lines = splitLines(corpus);
@@ -238,15 +239,15 @@ TEST(MithriLogTest, PlannerSkipsTraversalForCommonTokens)
     QueryResult common;
     ASSERT_TRUE(system.run(mustParse("RAS"), &common).isOk());
     EXPECT_TRUE(common.planned_full_scan);
-    EXPECT_EQ(common.index_time.ps(), 0u);
-    EXPECT_EQ(common.pages_scanned, common.pages_total);
+    EXPECT_EQ(common.breakdown.index_time.ps(), 0u);
+    EXPECT_EQ(common.breakdown.pages_scanned, common.breakdown.pages_total);
     EXPECT_EQ(common.matched_lines, 3000u);
 
     // A selective token goes through the index as usual.
     QueryResult rare;
     ASSERT_TRUE(system.run(mustParse("seq42"), &rare).isOk());
     EXPECT_FALSE(rare.planned_full_scan);
-    EXPECT_LT(rare.pages_scanned, rare.pages_total);
+    EXPECT_LT(rare.breakdown.pages_scanned, rare.breakdown.pages_total);
     EXPECT_EQ(rare.matched_lines, 1u);
 }
 
@@ -273,10 +274,11 @@ TEST(MithriLogTest, QueryBreakdownMatchesScalars)
     QueryResult r;
     ASSERT_TRUE(system.run(mustParse("UNIQUETOKEN"), &r).isOk());
     const QueryBreakdown &b = r.breakdown;
-    EXPECT_EQ(b.total_time.ps(), r.total_time.ps());
-    EXPECT_EQ(b.index_time.ps(), r.index_time.ps());
-    EXPECT_EQ(b.pages_scanned, r.pages_scanned);
-    EXPECT_EQ(b.matched_lines, r.matched_lines);
+    EXPECT_EQ(r.planned_full_scan, b.planned_full_scan);
+    EXPECT_GE(b.total_time.ps(),
+              std::max(b.index_time.ps(),
+                       std::max(b.storage_time.ps(), b.compute_time.ps())));
+    EXPECT_EQ(b.pages_total, system.dataPageCount());
     EXPECT_FALSE(b.used_fallback);
     EXPECT_GT(b.wall_seconds, 0.0);
     // Index path: candidates were nominated and the page-pruning
@@ -289,6 +291,40 @@ TEST(MithriLogTest, QueryBreakdownMatchesScalars)
     std::string json = b.toJson();
     EXPECT_NE(json.find("\"total_ps\""), std::string::npos);
     EXPECT_NE(json.find("\"false_positive_pages\""), std::string::npos);
+}
+
+TEST(MithriLogTest, PageDirectoryMapsLinesToPages)
+{
+    MithriLog system;
+    ASSERT_TRUE(system.ingestText(smallCorpus()).isOk());
+    EXPECT_TRUE(system.flush().isOk());
+    const std::vector<MithriLog::PageSpan> &dir = system.pageDirectory();
+    const std::vector<storage::PageId> &ids = system.dataPages();
+    ASSERT_EQ(dir.size(), ids.size());
+    ASSERT_GE(dir.size(), 3u);
+    // The spans tile the ingest stream, page ids ascending.
+    EXPECT_EQ(dir[0].first_line, 0u);
+    for (size_t i = 1; i < dir.size(); ++i) {
+        EXPECT_LT(ids[i - 1], ids[i]) << i;
+        EXPECT_EQ(dir[i - 1].first_line + dir[i - 1].line_count,
+                  dir[i].first_line)
+            << i;
+    }
+    EXPECT_EQ(dir.back().first_line + dir.back().line_count,
+              system.lineCount());
+
+    const uint64_t first1 = dir[1].first_line;
+    std::vector<uint64_t> lines = {0, 1, first1 - 1};  // all in page 0
+    EXPECT_EQ(system.pagesForLines(lines),
+              std::vector<storage::PageId>{ids[0]});
+    lines = {first1 - 1, first1, dir[2].first_line};  // pages 0, 1, 2
+    EXPECT_EQ(system.pagesForLines(lines),
+              (std::vector<storage::PageId>{ids[0], ids[1], ids[2]}));
+    lines = {first1, first1 + 1, first1 + 2};  // duplicates collapse
+    EXPECT_EQ(system.pagesForLines(lines),
+              std::vector<storage::PageId>{ids[1]});
+    lines = {system.lineCount()};  // past the last page
+    EXPECT_TRUE(system.pagesForLines(lines).empty());
 }
 
 TEST(MithriLogTest, QueryDatapathFeedsMetricsAndSpans)
@@ -316,16 +352,16 @@ TEST(MithriLogTest, QueryDatapathFeedsMetricsAndSpans)
             saw_query = true;
             EXPECT_EQ(e.depth, 0u);
             EXPECT_TRUE(e.has_sim);
-            EXPECT_EQ(e.sim_dur_ps, r.total_time.ps());
+            EXPECT_EQ(e.sim_dur_ps, r.breakdown.total_time.ps());
         } else if (e.name == "query.index_lookup") {
             saw_lookup = true;
             EXPECT_EQ(e.depth, 1u);
         } else if (e.name == "query.page_stream") {
             saw_stream = true;
-            EXPECT_EQ(e.sim_dur_ps, r.storage_time.ps());
+            EXPECT_EQ(e.sim_dur_ps, r.breakdown.storage_time.ps());
         } else if (e.name == "query.filter") {
             saw_filter = true;
-            EXPECT_EQ(e.sim_dur_ps, r.compute_time.ps());
+            EXPECT_EQ(e.sim_dur_ps, r.breakdown.compute_time.ps());
         }
     }
     EXPECT_TRUE(saw_query);

@@ -106,7 +106,7 @@ TEST_F(PersistenceTest, RoundTripPreservesQueries)
         ASSERT_TRUE(original.run(mustParse(q), &a).isOk()) << q;
         ASSERT_TRUE(restored.run(mustParse(q), &b).isOk()) << q;
         EXPECT_EQ(a.matched_lines, b.matched_lines) << q;
-        EXPECT_EQ(a.pages_scanned, b.pages_scanned) << q;
+        EXPECT_EQ(a.breakdown.pages_scanned, b.breakdown.pages_scanned) << q;
     }
 }
 
@@ -131,9 +131,9 @@ TEST_F(PersistenceTest, IngestContinuesAfterRestore)
 
 TEST_F(PersistenceTest, PageDirectoryAscendsAcrossRecoverAndReopen)
 {
-    // The host evaluator finds a page's first line by binary search
-    // over the page directory, which needs page ids that ascend with
-    // ingest order through every mount and reopen.
+    // Every query path numbers a kept line from its page's first line,
+    // found by binary search over the page directory, which needs page
+    // ids that ascend with ingest order through every mount and reopen.
     loggen::LogGenerator gen(loggen::hpc4Datasets()[0]);
     std::string first = gen.generate(256 << 10);
     std::string second = gen.generate(256 << 10);
@@ -167,17 +167,18 @@ TEST_F(PersistenceTest, PageDirectoryAscendsAcrossRecoverAndReopen)
     }
     ASSERT_FALSE(expected.empty());
     for (MithriLog *store : {&reopened, &mounted}) {
-        const auto &dir = store->typedIndex().pageDirectory();
-        ASSERT_EQ(dir.size(), store->dataPageCount());
+        const auto &dir = store->pageDirectory();
+        const auto &ids = store->dataPages();
+        ASSERT_EQ(dir.size(), ids.size());
         for (size_t i = 1; i < dir.size(); ++i) {
-            EXPECT_LT(dir[i - 1].page, dir[i].page) << i;
+            EXPECT_LT(ids[i - 1], ids[i]) << i;
             EXPECT_EQ(dir[i - 1].first_line + dir[i - 1].line_count,
                       dir[i].first_line)
                 << i;
         }
         QueryResult r;
         ASSERT_TRUE(store->run(q, &r).isOk());
-        EXPECT_TRUE(r.used_fallback);
+        EXPECT_TRUE(r.breakdown.used_fallback);
         EXPECT_EQ(r.line_numbers, expected);
     }
 }

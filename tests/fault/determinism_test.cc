@@ -76,11 +76,11 @@ runSequence(const fault::FaultPlanConfig &plan_cfg)
         Status st = system.run(q, &r);
         run.statuses.push_back(st);
         run.matches.push_back(r.matched_lines);
-        run.pages_dropped.push_back(r.pages_dropped);
+        run.pages_dropped.push_back(r.breakdown.pages_dropped);
         run.retries.push_back(r.breakdown.read_retries);
-        run.degraded_index.push_back(r.degraded_index_scan);
-        run.degraded_software.push_back(r.degraded_software_scan);
-        run.total_ps.push_back(r.total_time.ps());
+        run.degraded_index.push_back(r.breakdown.degraded_index_scan);
+        run.degraded_software.push_back(r.breakdown.degraded_software_scan);
+        run.total_ps.push_back(r.breakdown.total_time.ps());
     }
     run.fault_counters = plan.counters();
     system.ssd().attachFaultPlan(nullptr);

@@ -12,6 +12,8 @@
 #include "svc/log_service.h"
 
 #include <algorithm>
+#include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -381,20 +383,89 @@ TEST(LogServiceTest, QueryResultRollupIsConsistent)
         max_ps = std::max<uint64_t>(max_ps, b.total_time.ps());
         pages += b.pages_scanned;
     }
-    EXPECT_EQ(r.total_time.ps(), max_ps);
-    EXPECT_EQ(r.pages_scanned, pages);
-    EXPECT_EQ(r.breakdown.total_time.ps(), r.total_time.ps());
-    EXPECT_EQ(r.breakdown.matched_lines, r.matched_lines);
-    EXPECT_GE(r.total_time.ps(),
-              std::max(r.storage_time.ps(), r.compute_time.ps()));
+    const core::QueryBreakdown &b = r.breakdown;
+    EXPECT_EQ(b.total_time.ps(), max_ps);
+    EXPECT_EQ(b.pages_scanned, pages);
+    EXPECT_EQ(r.total_time.ps(), b.total_time.ps());
+    EXPECT_GE(b.total_time.ps(),
+              std::max(b.storage_time.ps(), b.compute_time.ps()));
     EXPECT_GE(r.shardImbalancePct(), 0.0);
     EXPECT_LT(r.shardImbalancePct(), 100.0);
-    EXPECT_GT(r.wall_seconds, 0.0);
+    EXPECT_GT(b.wall_seconds, 0.0);
 
     const obs::MetricsRegistry &m = service.metrics();
     EXPECT_EQ(m.counterValue("svc.queries"), 1u);
     EXPECT_EQ(m.counterValue("svc.shard_queries"), 4u);
     EXPECT_EQ(m.counterValue("svc.lines_routed"), 3000u);
+}
+
+TEST(LogServiceTest, MixedPathsKeepLineNumbersParallel)
+{
+    // One shard degrades to the host scan while its siblings stay on
+    // the accelerator; the merged result keeps one shape regardless:
+    // line numbers parallel to the lines, ascending within each
+    // shard's run.
+    LogServiceConfig cfg;
+    cfg.shards = 2;
+    cfg.threads = 2;
+    LogService service(cfg);
+    ASSERT_TRUE(service.appendText(smallCorpus()).isOk());
+    ASSERT_TRUE(service.flush().isOk());
+    const char *text = "INFO";  // lines 0, 3, 6, ...: on both shards
+    ServiceQueryResult clean;
+    ASSERT_TRUE(service.query(text, &clean).isOk());
+    ASSERT_EQ(clean.line_numbers.size(), clean.lines.size());
+
+    // Damage the page CRC does not cover on shard 1 (a consistent
+    // item/byte count in the header that the payload cannot hold), as
+    // MithriLogTest.DegradedSoftwareScanReturnsKeptLines does. The page
+    // stages cleanly, then fails decode in the filter pipeline.
+    core::MithriLog &bad = service.shard(1);
+    ASSERT_GT(bad.dataPageCount(), 2u);
+    const core::MithriLog::PageSpan span = bad.pageDirectory()[1];
+    core::QueryResult before;
+    ASSERT_TRUE(bad.run(text, &before).isOk());
+    uint64_t dropped = 0;
+    for (uint64_t n : before.line_numbers) {
+        dropped += n >= span.first_line &&
+                   n < span.first_line + span.line_count;
+    }
+    ASSERT_GT(dropped, 0u);
+    std::span<uint8_t> page =
+        bad.ssd().store().mutablePage(bad.dataPages()[1]);
+    uint32_t items = 0xffff;
+    uint32_t bytes = items * compress::kLzahWord;
+    std::memcpy(page.data(), &items, sizeof items);
+    std::memcpy(page.data() + sizeof items, &bytes, sizeof bytes);
+
+    ServiceQueryResult mixed;
+    ASSERT_TRUE(service.query(text, &mixed).isOk());
+    ASSERT_EQ(mixed.per_shard.size(), 2u);
+    for (size_t i = 0; i < mixed.per_shard.size(); ++i) {
+        EXPECT_EQ(mixed.per_shard[i].degraded_software_scan, i == 1) << i;
+    }
+    EXPECT_EQ(mixed.breakdown.pages_dropped, 1u);
+    EXPECT_EQ(mixed.matched_lines, clean.matched_lines - dropped);
+    ASSERT_EQ(mixed.lines.size(), mixed.matched_lines);
+    ASSERT_EQ(mixed.line_numbers.size(), mixed.lines.size());
+
+    // Each shard's run is that shard's own answer, in line order.
+    size_t at = 0;
+    for (size_t i = 0; i < service.shardCount(); ++i) {
+        core::QueryResult own;
+        ASSERT_TRUE(service.shard(i).run(text, &own).isOk());
+        ASSERT_LE(at + own.lines.size(), mixed.lines.size()) << i;
+        for (size_t k = 0; k < own.lines.size(); ++k, ++at) {
+            EXPECT_EQ(mixed.lines[at].text, own.lines[k].text) << i;
+            EXPECT_EQ(mixed.line_numbers[at], own.line_numbers[k]) << i;
+            if (k > 0) {
+                EXPECT_LT(mixed.line_numbers[at - 1],
+                          mixed.line_numbers[at])
+                    << i;
+            }
+        }
+    }
+    EXPECT_EQ(at, mixed.lines.size());
 }
 
 TEST(LogServiceTest, ZeroConfigClampsToMinimumService)

@@ -134,7 +134,7 @@ runOnce(size_t threads, RoutingPolicy routing,
         for (const core::QueryBreakdown &b : r.per_shard) {
             fp.shard_ps.push_back(b.total_time.ps());
         }
-        fp.pages_dropped += r.pages_dropped;
+        fp.pages_dropped += r.breakdown.pages_dropped;
     }
     return fp;
 }

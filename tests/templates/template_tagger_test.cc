@@ -57,8 +57,7 @@ TEST(TemplateTaggerTest, TagsEveryLineSinglePass)
     TaggedCorpus corpus = makeCorpus(5);
     ASSERT_EQ(corpus.templates.size(), 5u);
 
-    accel::Accelerator accel(accel::AccelConfig{
-        .keep_lines = false, .collect_masks = true});
+    accel::Accelerator accel(accel::AccelConfig{.collect_masks = true});
     TagResult result;
     ASSERT_TRUE(tagTemplates(corpus.templates, corpus.views, &accel,
                              &result).isOk());
@@ -80,8 +79,7 @@ TEST(TemplateTaggerTest, MultiPassBeyondEightTemplates)
     TaggedCorpus corpus = makeCorpus(20);
     ASSERT_EQ(corpus.templates.size(), 20u);
 
-    accel::Accelerator accel(accel::AccelConfig{
-        .keep_lines = false, .collect_masks = true});
+    accel::Accelerator accel(accel::AccelConfig{.collect_masks = true});
     TagResult result;
     ASSERT_TRUE(tagTemplates(corpus.templates, corpus.views, &accel,
                              &result).isOk());
@@ -112,8 +110,7 @@ TEST(TemplateTaggerTest, UnknownLinesStayUntagged)
         corpus.views.emplace_back(p);
     }
 
-    accel::Accelerator accel(accel::AccelConfig{
-        .keep_lines = false, .collect_masks = true});
+    accel::Accelerator accel(accel::AccelConfig{.collect_masks = true});
     TagResult result;
     ASSERT_TRUE(tagTemplates(corpus.templates, corpus.views, &accel,
                              &result).isOk());
@@ -139,8 +136,7 @@ TEST(TemplateTaggerTest, MostSpecificTemplateWins)
         views.emplace_back(p);
     }
 
-    accel::Accelerator accel(accel::AccelConfig{
-        .keep_lines = false, .collect_masks = true});
+    accel::Accelerator accel(accel::AccelConfig{.collect_masks = true});
     TagResult result;
     ASSERT_TRUE(tagTemplates(templates, views, &accel, &result).isOk());
     ASSERT_EQ(result.tags.size(), 2u);
@@ -180,8 +176,7 @@ TEST(TemplateTaggerTest, SyntheticDatasetEndToEnd)
         views.emplace_back(p);
     }
 
-    accel::Accelerator accel(accel::AccelConfig{
-        .keep_lines = false, .collect_masks = true});
+    accel::Accelerator accel(accel::AccelConfig{.collect_masks = true});
     TagResult result;
     ASSERT_TRUE(tagTemplates(templates, views, &accel, &result).isOk());
     EXPECT_EQ(result.tags.size(), line_count);

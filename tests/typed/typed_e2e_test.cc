@@ -82,14 +82,6 @@ class TypedE2eTest : public ::testing::Test
 
     void TearDown() override { std::remove(path_.c_str()); }
 
-    static MithriLogConfig
-    typedConfig()
-    {
-        MithriLogConfig cfg;
-        cfg.accel.keep_lines = true;
-        return cfg;
-    }
-
     /** Runs every oracle predicate against @p system and asserts the
      *  result set is byte-identical to the host-side scan of
      *  @p corpus (which must be what the store holds). */
@@ -119,7 +111,7 @@ class TypedE2eTest : public ::testing::Test
 
 TEST_F(TypedE2eTest, CleanMountMatchesOracle)
 {
-    MithriLog system(typedConfig());
+    MithriLog system;
     ASSERT_TRUE(system.ingestText(text_).isOk());
     ASSERT_TRUE(system.flush().isOk());
     expectOracleEqual(&system, text_, "clean");
@@ -131,7 +123,7 @@ TEST_F(TypedE2eTest, CleanMountMatchesOracle)
 
 TEST_F(TypedE2eTest, FaultPlanMountMatchesOracle)
 {
-    MithriLog system(typedConfig());
+    MithriLog system;
     ASSERT_TRUE(system.ingestText(text_).isOk());
     ASSERT_TRUE(system.flush().isOk());
 
@@ -152,7 +144,7 @@ TEST_F(TypedE2eTest, PostCrashRecoveryMatchesOracle)
     // Power-cut the device mid-ingest, dump the NAND, recover, and
     // check the typed tier over the surviving durable prefix.
     {
-        MithriLog system(typedConfig());
+        MithriLog system;
         fault::FaultPlanConfig fc;
         fc.power_cut_after_writes = 12;
         fault::FaultPlan plan(fc);
@@ -162,7 +154,7 @@ TEST_F(TypedE2eTest, PostCrashRecoveryMatchesOracle)
             << "cut ordinal never reached; corpus too small?";
         ASSERT_TRUE(system.saveDeviceImage(path_).isOk());
     }
-    MithriLog mounted(typedConfig());
+    MithriLog mounted;
     ASSERT_TRUE(mounted.recover(path_).isOk());
     ASSERT_GT(mounted.lineCount(), 0u);
 
@@ -183,7 +175,7 @@ TEST_F(TypedE2eTest, PostCrashRecoveryMatchesOracle)
     // And the recovered typed path still agrees with the recovered
     // degraded baseline (use_typed_index off), the in-system dual of
     // the host oracle.
-    MithriLogConfig scan_cfg = typedConfig();
+    MithriLogConfig scan_cfg;
     scan_cfg.use_typed_index = false;
     MithriLog baseline(scan_cfg);
     ASSERT_TRUE(baseline.recover(path_).isOk());

@@ -117,45 +117,18 @@ TEST(TypedIndexTest, HexIdLookup)
     EXPECT_EQ(r.lines, expectedLines(100, 7));
 }
 
-TEST(TypedIndexTest, PageDirectoryMapsLinesToPages)
-{
-    storage::SsdModel ssd;
-    TypedIndex index(&ssd);
-    // Three sealed pages of 40 lines each.
-    storage::PageId p0 = ssd.allocate();
-    storage::PageId p1 = ssd.allocate();
-    storage::PageId p2 = ssd.allocate();
-    index.notePage(p0, 0, 40);
-    index.notePage(p1, 40, 40);
-    index.notePage(p2, 80, 40);
-
-    std::vector<uint64_t> lines = {3, 17, 39};  // all in page 0
-    EXPECT_EQ(index.pagesForLines(lines),
-              std::vector<storage::PageId>{p0});
-    lines = {39, 40, 100};  // pages 0, 1, 2
-    EXPECT_EQ(index.pagesForLines(lines),
-              (std::vector<storage::PageId>{p0, p1, p2}));
-    lines = {41, 42, 43};  // duplicates collapse
-    EXPECT_EQ(index.pagesForLines(lines),
-              std::vector<storage::PageId>{p1});
-}
-
 TEST(TypedIndexTest, SerializeDeserializeRoundTrip)
 {
     // The typed index keeps no host-side state across an open: a mount
     // rebuilds it from the surviving data pages. A second index fed
-    // the same lines on the same device must answer the same lookups
-    // and hold the same page directory.
+    // the same lines on the same device must answer the same lookups.
     storage::SsdModel ssd;
-    storage::PageId data_page = ssd.allocate();
     TypedIndex index(&ssd);
     fillIndex(&index, 500);
-    index.notePage(data_page, 0, 500);
     index.flush();
 
     TypedIndex rebuilt(&ssd);
     fillIndex(&rebuilt, 500);
-    rebuilt.notePage(data_page, 0, 500);
     rebuilt.flush();
 
     EXPECT_EQ(rebuilt.keyCount(), index.keyCount());
@@ -168,10 +141,6 @@ TEST(TypedIndexTest, SerializeDeserializeRoundTrip)
         EXPECT_EQ(after.pages_read, before.pages_read) << word;
         EXPECT_EQ(after.bytes_read, before.bytes_read) << word;
     }
-    ASSERT_EQ(rebuilt.pageDirectory().size(), 1u);
-    EXPECT_EQ(rebuilt.pageDirectory()[0].page, data_page);
-    EXPECT_EQ(rebuilt.pageDirectory()[0].first_line, 0u);
-    EXPECT_EQ(rebuilt.pageDirectory()[0].line_count, 500u);
 }
 
 TEST(TypedIndexTest, CorruptPostingPageReportsIntegrityLost)
