@@ -138,13 +138,7 @@ MithriLog::indexPage(PageId page, uint64_t first_line, uint64_t end_line)
     // Byte order, as a std::set<std::string> iterates: the two-hash
     // balancing in addPage depends on the order tokens arrive in.
     index_->addPage(page, page_tokens_.sorted(), end_line);
-    notePage(page, first_line, end_line);
     page_tokens_.clear();
-}
-
-void
-MithriLog::notePage(PageId page, uint64_t first_line, uint64_t end_line)
-{
     MITHRIL_ASSERT(data_pages_.empty() ||
                    (data_pages_.back() < page &&
                     page_dir_.back().first_line <= first_line));

@@ -272,7 +272,7 @@ class MithriLog
     /** Data pages in ingest order (tests and ablations; the journal
      *  owns the device's leading pages, so "page 0" is not data). Ids
      *  ascend: pages are allocated in ingest order, a mount keeps their
-     *  ids, and ids are never reused (notePage checks it). */
+     *  ids, and ids are never reused (indexPage checks it). */
     const std::vector<storage::PageId> &dataPages() const
     {
         return data_pages_;
@@ -515,17 +515,13 @@ class MithriLog
     /**
      * The per-page half: registers data page @p page, which holds lines
      * [@p first_line, @p end_line), with the keyword index (its
-     * distinct tokens in byte order, stamped @p end_line) and with the
-     * page directory, then empties the token set for the next page.
+     * distinct tokens in byte order, stamped @p end_line), empties the
+     * token set for the next page, and appends the page to dataPages()
+     * and the page directory. Pages arrive in ingest order with
+     * ascending ids, and indexPage checks it.
      */
     void indexPage(storage::PageId page, uint64_t first_line,
                    uint64_t end_line);
-
-    /** Appends data page @p page, holding lines [@p first_line,
-     *  @p end_line), to dataPages() and the page directory. Pages
-     *  arrive in ingest order with ascending ids. */
-    void notePage(storage::PageId page, uint64_t first_line,
-                  uint64_t end_line);
 
     /** First line of staged data page @p page, via the directory. */
     uint64_t firstLineOf(storage::PageId page) const;
