@@ -18,9 +18,9 @@
  *             scan (Section 4.2.1).
  *
  * Timing discipline: MithriLog-side numbers are *modeled* (SimTime at
- * the paper's platform parameters); QueryResult separates index,
- * storage, and compute time so benches can report the same breakdowns
- * the paper discusses.
+ * the paper's platform parameters); QueryResult::breakdown separates
+ * index, storage, and compute time so benches can report the same
+ * breakdowns the paper discusses.
  *
  * Thread safety: none — a MithriLog is single-threaded by design and
  * the thread-ownership lint keeps it that way. Concurrent use goes
