@@ -94,19 +94,24 @@ Accelerator::process(std::span<const compress::ByteView> pages, Mode mode,
         return Status::invalidArgument("accelerator not configured");
     }
 
-    // Page-granular round-robin scatter across pipelines.
+    // Page-granular round-robin scatter: batch page i goes to pipeline
+    // i % n, and the pages go out in batch order, so kept lines land in
+    // out->kept in batch page order.
     const size_t n = pipelines_.size();
-    std::vector<std::vector<compress::ByteView>> shards(n);
+    std::vector<PipelineResult> results(n);
+    for (size_t p = 0; p < n; ++p) {
+        pipelines_[p].begin(mode, config_.collect_masks, &results[p]);
+    }
     for (size_t i = 0; i < pages.size(); ++i) {
-        shards[i % n].push_back(pages[i]);
+        MITHRIL_RETURN_IF_ERROR(
+            pipelines_[i % n].feed(pages[i], static_cast<uint32_t>(i),
+                                   &results[i % n], &out->kept));
     }
 
     out->kept_per_query.assign(std::max<size_t>(query_count_, 1), 0);
-    std::vector<PipelineResult> results(n);
     for (size_t p = 0; p < n; ++p) {
         PipelineResult &r = results[p];
-        MITHRIL_RETURN_IF_ERROR(pipelines_[p].process(
-            shards[p], mode, config_.collect_masks, &r));
+        pipelines_[p].finish(&r);
         out->line_masks.insert(out->line_masks.end(),
                                r.line_masks.begin(),
                                r.line_masks.end());
@@ -124,20 +129,6 @@ Accelerator::process(std::span<const compress::ByteView> pages, Mode mode,
         }
         out->text += r.text;
         out->raw.insert(out->raw.end(), r.raw.begin(), r.raw.end());
-    }
-    // Undo the scatter: each pipeline keeps lines in its local page
-    // order, and local page j of pipeline p is batch page j * n + p, so
-    // visiting the batch pages in turn merges the pipelines' outputs
-    // into batch page order.
-    out->kept.reserve(out->lines_kept);
-    std::vector<size_t> next(n, 0);
-    for (size_t page = 0; page < pages.size(); ++page) {
-        std::vector<KeptLine> &kept = results[page % n].kept;
-        for (size_t &i = next[page % n];
-             i < kept.size() && kept[i].page_index == page / n; ++i) {
-            kept[i].page_index = static_cast<uint32_t>(page);
-            out->kept.push_back(std::move(kept[i]));
-        }
     }
     // All pipelines run until the slowest finishes; the others idle.
     for (const PipelineResult &r : results) {

@@ -106,8 +106,8 @@ class Accelerator
     /**
      * Runs @p pages (LZAH-compressed) through the pipelines in
      * @p mode. Pages are distributed round-robin, one page per
-     * pipeline per turn, as the device's scatter unit does; kept lines
-     * are merged back into batch page order.
+     * pipeline per turn and in batch order, as the device's scatter
+     * unit does, so kept lines come back in batch page order.
      */
     [[nodiscard]] Status process(std::span<const compress::ByteView> pages,
                                  Mode mode, AccelResult *out);

@@ -44,18 +44,17 @@ enum class Mode {
 struct KeptLine {
     std::string text;
     uint64_t query_mask;
-    /** Ordinal of the source page within this pipeline's batch;
-     *  Accelerator::process rewrites it to the ordinal within the full
-     *  submitted batch, so callers can attribute a kept line to its
-     *  data page and number it (core::QueryResult::line_numbers). */
+    /** Ordinal of the source page within the submitted batch, so
+     *  callers can attribute a kept line to its data page and number it
+     *  (core::QueryResult::line_numbers). */
     uint32_t page_index = 0;
     /** The line's index within its source page. */
     uint32_t line_in_page = 0;
 };
 
-/** Per-batch output of one pipeline. */
+/** Per-batch output of one pipeline; its kept lines go to the caller's
+ *  vector (FilterPipeline::feed). */
 struct PipelineResult {
-    std::vector<KeptLine> kept;
     uint64_t lines_in = 0;
     uint64_t lines_kept = 0;
     /** Accepted-line count per original query (by set_owner id). */
@@ -87,14 +86,24 @@ class FilterPipeline
     void program(const FilterProgram *program);
 
     /**
-     * Processes a batch of LZAH-compressed pages; kept lines come out
-     * in page order.
-     *
-     * @param collect_masks when true, every line's query mask is
-     *        recorded in PipelineResult::line_masks (template tagging).
+     * Starts a batch in @p mode: resets the stage models and @p out.
+     * With @p collect_masks, every line's query mask is recorded in
+     * PipelineResult::line_masks (template tagging).
      */
-    Status process(std::span<const compress::ByteView> pages, Mode mode,
-                   bool collect_masks, PipelineResult *out);
+    void begin(Mode mode, bool collect_masks, PipelineResult *out);
+
+    /**
+     * Runs the batch's next LZAH-compressed page. The stage models
+     * carry over from page to page: a batch's cycles are those of one
+     * continuous pass over its pages. In kFilter mode the page's kept
+     * lines are appended to @p kept, tagged with @p page_index.
+     */
+    Status feed(compress::ByteView page, uint32_t page_index,
+                PipelineResult *out, std::vector<KeptLine> *kept);
+
+    /** Ends the batch: fills the cycles (the max over the stages) and,
+     *  in kDecompress mode, the text. */
+    void finish(PipelineResult *out);
 
   private:
     compress::LzahDecompressorModel decompressor_;
@@ -103,6 +112,10 @@ class FilterPipeline
     std::vector<Tokenizer> tokenizers_;
     std::vector<HashFilter> filters_;
     const FilterProgram *program_ = nullptr;
+    Mode mode_ = Mode::kFilter;
+    bool collect_masks_ = false;
+    /** Round-robin tokenizer index, continuous across a batch. */
+    size_t line_idx_ = 0;
 };
 
 } // namespace mithril::accel
