@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
-#include <set>
 
 namespace mithril::index {
 
@@ -218,21 +216,29 @@ InvertedIndex::collectEntry(const Entry &entry,
     // independent of the *next* root hop, so they pipeline behind its
     // 100 us latency (Section 6.1's design argument); the model
     // charges them transfer time only. Each distinct page is read once
-    // per batch; only CRC rejections trigger re-reads.
+    // per batch, in ascending page order; only CRC rejections trigger
+    // re-reads. The batch buffers are reused across the entry's roots.
+    std::vector<PageId> batch_pages;
+    std::vector<std::vector<uint8_t>> batch_bytes;
+    std::vector<bool> batch_ok;
     auto read_leaves = [&](std::span<const uint64_t> refs) {
-        std::map<PageId, std::vector<uint8_t>> cache;
+        batch_pages.clear();
         for (uint64_t ref : refs) {
             if (valid_ref(ref, kLeafPerPage)) {
-                cache.emplace(ref >> kSlotBits, std::vector<uint8_t>());
+                batch_pages.push_back(ref >> kSlotBits);
             }
         }
-        std::set<PageId> bad;
-        for (auto &[page, bytes] : cache) {
-            Status st = ssd_->readOverlapped(page, Link::kExternal,
-                                             &bytes);
-            if (!st.isOk()) {
-                bad.insert(page);
-            }
+        std::sort(batch_pages.begin(), batch_pages.end());
+        batch_pages.erase(
+            std::unique(batch_pages.begin(), batch_pages.end()),
+            batch_pages.end());
+        batch_bytes.resize(batch_pages.size());
+        batch_ok.assign(batch_pages.size(), false);
+        for (size_t i = 0; i < batch_pages.size(); ++i) {
+            batch_ok[i] = ssd_->readOverlapped(batch_pages[i],
+                                               Link::kExternal,
+                                               &batch_bytes[i])
+                              .isOk();
         }
         // Parse newest-first.
         for (auto it = refs.rbegin(); it != refs.rend(); ++it) {
@@ -242,14 +248,17 @@ InvertedIndex::collectEntry(const Entry &entry,
             }
             PageId page = *it >> kSlotBits;
             size_t slot = *it & ((1u << kSlotBits) - 1);
-            if (bad.contains(page)) {
+            size_t at = std::lower_bound(batch_pages.begin(),
+                                         batch_pages.end(), page) -
+                        batch_pages.begin();
+            if (!batch_ok[at]) {
                 lost();
                 continue;
             }
+            std::vector<uint8_t> &bytes = batch_bytes[at];
             LeafNode node;
             auto extract = [&] {
-                std::memcpy(&node,
-                            cache[page].data() + slot * sizeof(LeafNode),
+                std::memcpy(&node, bytes.data() + slot * sizeof(LeafNode),
                             sizeof(LeafNode));
                 return node.count <= 16 && node.crc == nodeCrc(node);
             };
@@ -260,7 +269,7 @@ InvertedIndex::collectEntry(const Entry &entry,
                          .isOk()) {
                     break;
                 }
-                cache[page] = std::move(fresh);
+                bytes = std::move(fresh);
                 ok = extract();
                 if (ok) {
                     counters_.node_crc_recoveries->add();
