@@ -245,7 +245,6 @@ MithriLog::flush()
     if (!encoder_.pages().empty()) {
         MITHRIL_RETURN_IF_ERROR(sealPendingPage());
     }
-    index_->flush();
     typed_index_->flush();
     if (counters_.lzah_ratio == nullptr) {
         // Resolved by the first flush, so a store that never flushed
@@ -1105,7 +1104,6 @@ MithriLog::recover(const std::string &path)
         indexPage(s.cp.page, rebuilt_lines, s.cp.lines);
         rebuilt_lines = s.cp.lines;
     }
-    index_->flush();
     typed_index_->flush();
     index_span.end();
 

@@ -197,9 +197,12 @@ class MithriLog
     [[nodiscard]] Status ingestText(std::string_view text);
 
     /**
-     * Seals the open page and flushes the index — a repeatable
+     * Seals the open page and flushes the typed index — a repeatable
      * checkpoint (ingest may continue afterwards). On return every
-     * ingested line is journaled and crash-durable.
+     * ingested line is journaled and crash-durable. The keyword index
+     * is not flushed: its buffers and roots under construction stay in
+     * host memory (only full nodes reach the device), and a mount
+     * rebuilds it from the committed data pages.
      */
     [[nodiscard]] Status flush();
 

@@ -117,9 +117,8 @@ InvertedIndex::writeLeaf(const Entry &entry)
 void
 InvertedIndex::flushBuffer(Entry *entry)
 {
-    if (entry->buffer.empty()) {
-        return;
-    }
+    // Runs when the buffer fills (push), and flushRoot when the root
+    // under construction does: storage only ever holds full nodes.
     uint64_t ref = writeLeaf(*entry);
     entry->buffer.clear();
     entry->leaf_refs.push_back(ref);
@@ -134,9 +133,6 @@ InvertedIndex::flushBuffer(Entry *entry)
 void
 InvertedIndex::flushRoot(Entry *entry)
 {
-    if (entry->leaf_refs.empty()) {
-        return;
-    }
     if (open_root_page_ == kInvalidPage ||
         open_root_slot_ >= kRootPerPage) {
         open_root_page_ = ssd_->allocate();
@@ -157,15 +153,6 @@ InvertedIndex::flushRoot(Entry *entry)
     ++open_root_slot_;
     entry->leaf_refs.clear();
     counters_.root_nodes_flushed->add();
-}
-
-void
-InvertedIndex::flush()
-{
-    for (Entry &entry : entries_) {
-        flushBuffer(&entry);
-        flushRoot(&entry);
-    }
 }
 
 void

@@ -9,14 +9,19 @@
  * out downstream by the accelerator).
  *
  * Structure per in-memory hash entry:
- *   - a 16-slot buffer of data-page addresses (the only always-resident
- *     state);
+ *   - a 16-slot buffer of data-page addresses;
  *   - a root-under-construction holding up to 16 leaf-node references;
  *   - the head of an in-storage linked list of height-2 trees: each
  *     tree root holds 16 leaf references, each leaf holds 16 data page
  *     addresses, so one latency-bound root visit yields up to 256
  *     independent data-page addresses (Section 6.1's bandwidth
  *     argument).
+ *
+ * The buffer and the root under construction are the entry's
+ * host-resident open state, as in the paper (Section 6.1): a leaf is
+ * written only when its buffer fills, and a root only when it holds 16
+ * leaves, so storage holds full nodes only. Lookups read the open
+ * state from memory.
  *
  * Two hash functions index the table; each token's pages are pushed to
  * whichever of its two entries currently holds fewer pages, and queries
@@ -85,9 +90,6 @@ class InvertedIndex
     void addPage(storage::PageId data_page,
                  std::span<const std::string_view> tokens,
                  uint64_t timestamp);
-
-    /** Flushes all partial buffers/roots to storage (end of ingest). */
-    void flush();
 
     /**
      * Candidate data pages for @p token, in chronological order.

@@ -6,6 +6,8 @@
 
 #include "common/hash.h"
 #include "common/text.h"
+#include "loggen/datasets.h"
+#include "loggen/log_generator.h"
 #include "query/matcher.h"
 #include "query/parser.h"
 
@@ -72,7 +74,7 @@ TEST(MithriLogTest, IndexPrunesPages)
 {
     MithriLog system;
     std::string text = smallCorpus();
-    text += "needle UNIQUETOKEN in haystack\n";
+    text += "needle UNIQUETOKEN in KERNEL haystack\n";
     text += smallCorpus();
     ASSERT_TRUE(system.ingestText(text).isOk());
     EXPECT_TRUE(system.flush().isOk());
@@ -82,7 +84,38 @@ TEST(MithriLogTest, IndexPrunesPages)
     EXPECT_EQ(r.matched_lines, 1u);
     // The single-token query must touch far fewer pages than exist.
     EXPECT_LT(r.breakdown.pages_scanned, r.breakdown.pages_total / 2);
+    // UNIQUETOKEN's entries still hold their pages in the host-resident
+    // buffer, so the lookup reads no index page.
+    EXPECT_EQ(r.breakdown.index_time.ps(), 0u);
+
+    // KERNEL is on every page, so its entries have spilled leaves; the
+    // conjunction still prunes (a set is bounded by its most selective
+    // token) and its KERNEL lookup reads them.
+    ASSERT_TRUE(system.run(mustParse("UNIQUETOKEN & KERNEL"), &r).isOk());
+    EXPECT_EQ(r.matched_lines, 1u);
+    EXPECT_LT(r.breakdown.pages_scanned, r.breakdown.pages_total / 2);
     EXPECT_GT(r.breakdown.index_time.ps(), 0u);
+}
+
+TEST(MithriLogTest, FlushAndSealWriteOnlyFullIndexNodes)
+{
+    loggen::LogGenerator gen(loggen::datasetByName("Spirit2"));
+    const std::string text = gen.generate(4u << 20);
+    MithriLog system;
+    ASSERT_TRUE(system.ingestText(text).isOk());
+    auto index_pages = [&] {
+        return system.metrics().counterValue("index.leaf_pages_allocated") +
+               system.metrics().counterValue("index.index_pages_allocated");
+    };
+    // The keyword index's buffers and roots under construction stay in
+    // host memory: neither durability point writes a partial node.
+    const uint64_t before = index_pages();
+    ASSERT_TRUE(system.flush().isOk());
+    EXPECT_EQ(index_pages(), before);
+    ASSERT_TRUE(system.seal().isOk());
+    EXPECT_EQ(index_pages(), before);
+    EXPECT_GT(system.dataPageCount(), 200u);
+    EXPECT_LE(index_pages(), 40u);
 }
 
 TEST(MithriLogTest, QueryTimeBreakdownIsConsistent)
@@ -397,12 +430,16 @@ TEST(MithriLogTest, ExternalRegistryIsShared)
 {
     obs::MetricsRegistry registry;
     obs::Tracer tracer;
+    // A small table shares every entry across most pages, and 40,000
+    // lines fill about 280 pages, so entries spill full leaves and
+    // roots (16 leaves of 16 pages each).
     MithriLogConfig cfg;
+    cfg.index.hash_entries = 1u << 4;
     cfg.metrics = &registry;
     cfg.tracer = &tracer;
     MithriLog system(cfg);
     std::string text;
-    for (int i = 0; i < 3000; ++i) {
+    for (int i = 0; i < 40000; ++i) {
         text += "RAS KERNEL INFO cache parity error seq" +
                 std::to_string(i) + " src=10.1.2." +
                 std::to_string(i % 50) + "\n";
@@ -411,13 +448,16 @@ TEST(MithriLogTest, ExternalRegistryIsShared)
     EXPECT_TRUE(system.flush().isOk());
     EXPECT_EQ(&system.metrics(), &registry);
     EXPECT_EQ(&system.tracer(), &tracer);
-    EXPECT_EQ(registry.counterValue("core.lines_ingested"), 3000u);
+    EXPECT_EQ(registry.counterValue("core.lines_ingested"), 40000u);
 
+    // The typed query's keyword conjunct is looked up whatever the
+    // planner predicts, and walks KERNEL's root chain.
     QueryResult keyword, typed;
     ASSERT_TRUE(system.run(mustParse("seq42"), &keyword).isOk());
-    ASSERT_TRUE(system.run(mustParse("ip:10.1.2.7"), &typed).isOk());
+    ASSERT_TRUE(
+        system.run(mustParse("ip:10.1.2.7 & KERNEL"), &typed).isOk());
     EXPECT_EQ(keyword.matched_lines, 1u);
-    EXPECT_EQ(typed.matched_lines, 60u);
+    EXPECT_EQ(typed.matched_lines, 800u);
 
     // The storage, index and typed tiers count into the store's
     // registry under their subsystem names.
@@ -438,7 +478,9 @@ TEST(MithriLogTest, ExternalRegistryIsShared)
     // store's own registry.
     std::string path = ::testing::TempDir() + "mithrilog_registry.img";
     ASSERT_TRUE(system.saveDeviceImage(path).isOk());
-    MithriLog mounted;
+    MithriLogConfig mount_cfg;
+    mount_cfg.index = cfg.index;
+    MithriLog mounted(mount_cfg);
     ASSERT_TRUE(mounted.recover(path).isOk());
     std::remove(path.c_str());
     for (const char *name :

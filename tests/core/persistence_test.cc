@@ -238,8 +238,8 @@ TEST_F(PersistenceTest, TruncatedImageRejected)
  * The bytes a store leaves behind are its format: an ingest-path
  * change that claims "bytes unchanged" must reproduce the device
  * image and the recovered image exactly. The constants were recorded
- * from the ingest path that re-sized every open LZAH page per line
- * and kept tokens in a std::set.
+ * when seal() stopped writing the keyword index's partial leaves and
+ * roots (only full nodes reach the device).
  */
 TEST_F(PersistenceTest, ImageDigestsAreStable)
 {
@@ -273,8 +273,8 @@ TEST_F(PersistenceTest, ImageDigestsAreStable)
     ASSERT_TRUE(recovered.saveDeviceImage(path_).isOk());
     const std::string recovered_device = readBytes(path_);
 
-    EXPECT_EQ(hash64(device), 0x8064c42b7054f364ull);
-    EXPECT_EQ(hash64(recovered_device), 0x9206ee6bc6519a5eull);
+    EXPECT_EQ(hash64(device), 0x0471290c6cdbde33ull);
+    EXPECT_EQ(hash64(recovered_device), 0xc3133ad76047a546ull);
 }
 
 TEST_F(PersistenceTest, ConfigMismatchRejected)

@@ -52,10 +52,6 @@ runWorkload(InvertedIndex *idx, Rng *rng, size_t pages,
             w.truth[w.tokens[v]].push_back(p);
         }
         idx->addPage(p, views, p);
-        // Interleave occasional flushes: partial state must stay sound.
-        if (rng->chance(0.02)) {
-            idx->flush();
-        }
     }
     return w;
 }

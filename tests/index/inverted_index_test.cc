@@ -61,7 +61,6 @@ TEST(InvertedIndexTest, RootListBeyondOneTree)
     InvertedIndex idx(&ssd, smallConfig(), &metrics);
     // 16 x 16 = 256 pages per tree; 600 pages forces multiple roots.
     addRange(&idx, "gamma", 0, 599);
-    idx.flush();
     EXPECT_GT(metrics.counterValue("index.root_nodes_flushed"), 1u);
     auto pages = idx.lookup("gamma");
     ASSERT_EQ(pages.size(), 600u);
@@ -69,14 +68,37 @@ TEST(InvertedIndexTest, RootListBeyondOneTree)
     EXPECT_GT(metrics.counterValue("index.root_visits"), 0u);
 }
 
-TEST(InvertedIndexTest, FlushMakesPartialStateDurable)
+TEST(InvertedIndexTest, OpenStateStaysInHostMemory)
 {
+    obs::MetricsRegistry metrics;
     storage::SsdModel ssd;
-    InvertedIndex idx(&ssd, smallConfig());
-    addRange(&idx, "delta", 0, 20);  // 16 flush + 5 in buffer
-    idx.flush();
-    auto pages = idx.lookup("delta");
-    EXPECT_EQ(pages.size(), 21u);
+    IndexConfig cfg = smallConfig();
+    cfg.two_hash = false;  // one entry, so 16 pages fill one leaf
+    InvertedIndex idx(&ssd, cfg, &metrics);
+    auto index_pages = [&] {
+        return metrics.counterValue("index.leaf_pages_allocated") +
+               metrics.counterValue("index.index_pages_allocated");
+    };
+
+    // Buffered only: no index page exists, and the lookup is answered
+    // from memory without device time.
+    addRange(&idx, "delta", 0, 14);
+    EXPECT_EQ(index_pages(), 0u);
+    EXPECT_EQ(idx.lookup("delta").size(), 15u);
+    EXPECT_EQ(ssd.elapsed().ps(), 0u);
+
+    // The 16th page fills the buffer: one full leaf is written and its
+    // ref joins the root under construction, which is never written
+    // until it holds 16 leaves.
+    addRange(&idx, "delta", 15, 20);
+    EXPECT_EQ(metrics.counterValue("index.leaf_pages_allocated"), 1u);
+    EXPECT_EQ(metrics.counterValue("index.index_pages_allocated"), 0u);
+    EXPECT_EQ(metrics.counterValue("index.root_nodes_flushed"), 0u);
+    std::vector<PageId> pages = idx.lookup("delta");
+    ASSERT_EQ(pages.size(), 21u);
+    for (PageId p = 0; p <= 20; ++p) {
+        EXPECT_EQ(pages[p], p);
+    }
 }
 
 TEST(InvertedIndexTest, ConsecutiveDuplicatePagesDeduped)
@@ -211,7 +233,6 @@ TEST(InvertedIndexTest, LookupMetersStorageTraffic)
     storage::SsdModel ssd;
     InvertedIndex idx(&ssd, smallConfig());
     addRange(&idx, "theta", 0, 999);
-    idx.flush();
     ssd.resetClock();
     auto pages = idx.lookup("theta");
     ASSERT_EQ(pages.size(), 1000u);
