@@ -989,31 +989,39 @@ MithriLog::recover(const std::string &path)
     if (f == nullptr) {
         return Status::invalidArgument("cannot open " + path);
     }
-    std::vector<uint8_t> blob;
-    uint8_t chunk[65536];
-    size_t n;
-    while ((n = std::fread(chunk, 1, sizeof chunk, f)) > 0) {
-        blob.insert(blob.end(), chunk, chunk + n);
-    }
-    std::fclose(f);
-    if (blob.size() < 16 ||
-        getLe<uint32_t>(blob.data()) != kDeviceMagic ||
-        getLe<uint32_t>(blob.data() + 4) != kDeviceVersion) {
+    // The header and the file size are checked before any page is
+    // allocated, so a forged page count fails without touching memory.
+    uint8_t header[16];
+    if (std::fread(header, 1, sizeof header, f) != sizeof header ||
+        getLe<uint32_t>(header) != kDeviceMagic ||
+        getLe<uint32_t>(header + 4) != kDeviceVersion) {
+        std::fclose(f);
         return Status::corruptData("bad device image header");
     }
-    uint64_t pages = getLe<uint64_t>(blob.data() + 8);
-    if (pages > (blob.size() - 16) / storage::kPageSize) {
+    uint64_t pages = getLe<uint64_t>(header + 8);
+    long file_size = -1;
+    if (std::fseek(f, 0, SEEK_END) == 0) {
+        file_size = std::ftell(f);
+    }
+    if (file_size < static_cast<long>(sizeof header) ||
+        pages > (static_cast<uint64_t>(file_size) - sizeof header) /
+                    storage::kPageSize ||
+        std::fseek(f, sizeof header, SEEK_SET) != 0) {
+        std::fclose(f);
         return Status::corruptData("device image pages truncated");
     }
-    // Host-side restore of the NAND contents: not metered device
-    // traffic (the bytes never crossed the modeled links).
+    // Host-side restore of the NAND contents, read straight into the
+    // page store: not metered device traffic (the bytes never crossed
+    // the modeled links).
     for (uint64_t p = 0; p < pages; ++p) {
-        PageId id = ssd_.allocate();
-        MITHRIL_RETURN_IF_ERROR(ssd_.store().write(
-            id, std::span<const uint8_t>(
-                    blob.data() + 16 + p * storage::kPageSize,
-                    storage::kPageSize)));
+        std::span<uint8_t> slot =
+            ssd_.store().mutablePage(ssd_.allocate());
+        if (std::fread(slot.data(), 1, slot.size(), f) != slot.size()) {
+            std::fclose(f);
+            return Status::corruptData("device image pages truncated");
+        }
     }
+    std::fclose(f);
     ssd_.resetClock();
 
     obs::Span span = tracer_->span("recover", "core");
@@ -1027,40 +1035,28 @@ MithriLog::recover(const std::string &path)
     MITHRIL_RETURN_IF_ERROR(replayed);
 
     // Step 2: verify every committed data page against its journaled
-    // CRC and decode it. Verification failures (a lying device tore or
-    // dropped an acked program) cut the recovered dataset to the
-    // longest clean prefix — cumulative line counts only make sense
-    // for a prefix, and a mid-stream hole could turn into phantom or
-    // missing matches silently.
+    // CRC (one metered read each). Verification failures (a lying
+    // device tore or dropped an acked program) cut the recovered
+    // dataset to the longest clean prefix — cumulative line counts
+    // only make sense for a prefix, and a mid-stream hole could turn
+    // into phantom or missing matches silently.
     obs::Span verify_span = tracer_->span("recover.verify_pages",
                                           "core");
-    struct Survivor {
-        storage::Journal::CommittedPage cp;
-        compress::Bytes text;
-    };
-    std::vector<Survivor> survivors;
-    survivors.reserve(rr.pages.size());
+    compress::Bytes buf;
+    size_t verified = 0;
     for (const storage::Journal::CommittedPage &cp : rr.pages) {
-        compress::Bytes buf;
         if (!ssd_.readOverlapped(cp.page, Link::kInternal, &buf)
                  .isOk() ||
-            crc32(buf.data(), buf.size()) != cp.crc ||
-            !compress::lzahVerifyPage(buf).isOk()) {
+            crc32(buf.data(), buf.size()) != cp.crc) {
             break;
         }
-        compress::Bytes text;
-        if (!compress::lzahDecodePage(buf, /*padded=*/false, &text)
-                 .isOk()) {
-            break;
-        }
-        survivors.push_back(Survivor{cp, std::move(text)});
+        ++verified;
     }
-    uint64_t discarded = rr.pages.size() - survivors.size();
     verify_span.end();
 
-    // Step 2b: mark-sweep space reclamation. The journal footprint the
+    // Step 3: mark-sweep space reclamation. The journal footprint the
     // replay walked (chain + snapshot pages), the superblock slots, and
-    // the surviving data pages are the only pages the recovered store
+    // the verified data pages are the only pages the recovered store
     // can ever reference. Everything else — the crashed store's index
     // pages, pages freed before the crash, data pages past the
     // verification cut — is garbage the mount reclaims, so the index
@@ -1076,8 +1072,8 @@ MithriLog::recover(const std::string &path)
     for (PageId p : rr.snapshot_pages) {
         live[p] = true;
     }
-    for (const Survivor &s : survivors) {
-        live[s.cp.page] = true;
+    for (size_t i = 0; i < verified; ++i) {
+        live[rr.pages[i].page] = true;
     }
     uint64_t swept = 0;
     for (PageId p = 0; p < live.size(); ++p) {
@@ -1088,28 +1084,44 @@ MithriLog::recover(const std::string &path)
     }
     sweep_span.end();
 
-    // Step 3: rebuild the index from the surviving pages (the index is
+    // Step 4: rebuild the index from the verified pages (the index is
     // unjournaled by design; committed data pages are the source of
-    // truth).
+    // truth), decoding each from the store into one reused buffer. A
+    // page that fails to decode cuts the prefix there, and the verified
+    // pages past the cut are freed.
     obs::Span index_span = tracer_->span("recover.index_rebuild",
                                          "core");
     uint64_t rebuilt_lines = 0;
-    for (const Survivor &s : survivors) {
+    size_t survivors = 0;
+    for (; survivors < verified; ++survivors) {
+        const storage::Journal::CommittedPage &cp = rr.pages[survivors];
+        std::span<const uint8_t> view;
+        buf.clear();
+        if (!ssd_.store().read(cp.page, &view).isOk() ||
+            !compress::lzahDecodePage(view, /*padded=*/false, &buf)
+                 .isOk()) {
+            break;
+        }
         uint64_t line_no = rebuilt_lines;
-        forEachLine(asChars(s.text), [&](std::string_view line) {
+        forEachLine(asChars(buf), [&](std::string_view line) {
             indexLine(line, line_no++);
         });
         // The commit record's cumulative line count is the page's end
         // line, exactly the count ingest indexed the page with.
-        indexPage(s.cp.page, rebuilt_lines, s.cp.lines);
-        rebuilt_lines = s.cp.lines;
+        indexPage(cp.page, rebuilt_lines, cp.lines);
+        rebuilt_lines = cp.lines;
+    }
+    for (size_t i = survivors; i < verified; ++i) {
+        MITHRIL_RETURN_IF_ERROR(ssd_.store().free(rr.pages[i].page));
+        ++swept;
     }
     typed_index_->flush();
     index_span.end();
+    uint64_t discarded = rr.pages.size() - survivors;
 
-    if (!survivors.empty()) {
-        lines_ = survivors.back().cp.lines;
-        raw_bytes_ = survivors.back().cp.raw_bytes;
+    if (survivors > 0) {
+        lines_ = rr.pages[survivors - 1].lines;
+        raw_bytes_ = rr.pages[survivors - 1].raw_bytes;
     }
     committed_lines_ = lines_;
     committed_raw_ = raw_bytes_;

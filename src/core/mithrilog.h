@@ -359,7 +359,10 @@ class MithriLog
      * journaled CRC, discards torn/uncommitted pages (always a clean
      * *prefix* cut: the recovered store is exactly the first
      * durableLineCount() lines of the original ingest stream), and
-     * rebuilds the index from the surviving pages. The recovered store
+     * rebuilds the index from the surviving pages. The image is read
+     * straight into the page store, and the verify and rebuild passes
+     * each stream the committed pages through one reused buffer, so a
+     * mount holds little more than the image. The recovered store
      * is sealed until reopen() makes it writable again. Every step is
      * counted (`recovery.*` metrics) and spanned (`recover.*`); modeled
      * device time accrues into SimTime. A device with no valid
