@@ -56,8 +56,11 @@ class EquivalenceTest : public ::testing::TestWithParam<uint64_t>
 TEST_P(EquivalenceTest, AcceleratorAgreesWithSoftwareMatcher)
 {
     Rng rng(GetParam());
-    std::vector<std::string> corpus = randomCorpus(&rng, 300);
+    // At least 9 pages, so each of the 4 pipelines filters two or more
+    // and the in-order check sees the batch order across pipelines.
+    std::vector<std::string> corpus = randomCorpus(&rng, 1000);
     auto pages = makePages(corpus);
+    ASSERT_GE(pages.size(), 9u);
     std::vector<compress::ByteView> page_views;
     for (const auto &p : pages) {
         page_views.emplace_back(p);
