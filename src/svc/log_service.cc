@@ -506,12 +506,14 @@ LogService::mergeResults(std::vector<core::QueryResult> &shard_results,
     obs::Span span = tracer_->span("svc.merge", "svc");
     obs::StageTimer merge_timer(&stages_.merge);
     out->per_shard.reserve(shard_results.size());
+    out->matched_per_shard.reserve(shard_results.size());
     core::QueryBreakdown &b = out->breakdown;
     for (core::QueryResult &r : shard_results) {
         // Deterministic merge: shard index order, line-number order
         // within — (shard, lineNo) — independent of which worker
         // finished first.
         out->matched_lines += r.matched_lines;
+        out->matched_per_shard.push_back(r.matched_lines);
         out->lines.insert(out->lines.end(),
                           std::make_move_iterator(r.lines.begin()),
                           std::make_move_iterator(r.lines.end()));

@@ -132,6 +132,10 @@ struct ServiceQueryResult {
     /** Each shard's own breakdown, indexed by shard; one shard's
      *  serialized interior structure is preserved inside it. */
     std::vector<core::QueryBreakdown> per_shard;
+    /** Each shard's matched-line count, indexed like per_shard. Shard
+     *  i's run of `lines` follows the runs of shards 0..i-1, so a
+     *  merged line maps to (shard, line number). */
+    std::vector<uint64_t> matched_per_shard;
     /** breakdown.total_time, copied once by the merge for
      *  perfbench/wl_live.cc, which reads it here. */
     SimTime total_time;
