@@ -565,9 +565,20 @@ cmdStat(const std::string &img_path)
     std::printf("data pages:       %llu\n",
                 static_cast<unsigned long long>(system.dataPageCount()));
     std::printf("compression:      %.2fx\n", system.compressionRatio());
-    std::printf("device pages:     %llu\n",
+    // Logical ids include every id ever burned (freed ids are never
+    // reused); live pages are the physical slots the device holds.
+    const storage::PageStore &store = system.ssd().store();
+    std::printf("logical ids:      %llu\n",
+                static_cast<unsigned long long>(store.pageCount()));
+    std::printf("live pages:       %llu\n",
                 static_cast<unsigned long long>(
-                    system.ssd().store().pageCount()));
+                    store.physicalSlotCount() - store.freeSlotCount()));
+    std::printf("index pages:      %llu\n",
+                static_cast<unsigned long long>(
+                    system.metrics().counterValue(
+                        "index.leaf_pages_allocated") +
+                    system.metrics().counterValue(
+                        "index.index_pages_allocated")));
     std::printf("index memory:     %s\n",
                 humanBytes(static_cast<double>(
                     system.index().memoryFootprint())).c_str());
