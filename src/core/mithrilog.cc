@@ -940,6 +940,39 @@ namespace {
 /** Raw device dump header (saveDeviceImage / recover). */
 constexpr uint32_t kDeviceMagic = 0x5645444d;  // "MDEV"
 constexpr uint32_t kDeviceVersion = 1;
+
+/**
+ * Reads a device image from @p f straight into @p ssd's page store, one
+ * page per slot. The header and the file size are checked before any
+ * page is allocated, so a forged page count fails without allocating.
+ * Host-side restore of the NAND contents: not metered device traffic
+ * (the bytes never crossed the modeled links).
+ */
+Status
+loadDevicePages(std::FILE *f, storage::SsdModel *ssd)
+{
+    uint8_t header[16];
+    if (std::fread(header, 1, sizeof header, f) != sizeof header ||
+        getLe<uint32_t>(header) != kDeviceMagic ||
+        getLe<uint32_t>(header + 4) != kDeviceVersion) {
+        return Status::corruptData("bad device image header");
+    }
+    uint64_t pages = getLe<uint64_t>(header + 8);
+    long size = std::fseek(f, 0, SEEK_END) == 0 ? std::ftell(f) : -1;
+    if (size < static_cast<long>(sizeof header) ||
+        pages > (static_cast<uint64_t>(size) - sizeof header) /
+                    storage::kPageSize ||
+        std::fseek(f, sizeof header, SEEK_SET) != 0) {
+        return Status::corruptData("device image pages truncated");
+    }
+    for (uint64_t p = 0; p < pages; ++p) {
+        std::span<uint8_t> slot = ssd->store().mutablePage(ssd->allocate());
+        if (std::fread(slot.data(), 1, slot.size(), f) != slot.size()) {
+            return Status::corruptData("device image pages truncated");
+        }
+    }
+    return Status::ok();
+}
 } // namespace
 
 Status
@@ -989,39 +1022,9 @@ MithriLog::recover(const std::string &path)
     if (f == nullptr) {
         return Status::invalidArgument("cannot open " + path);
     }
-    // The header and the file size are checked before any page is
-    // allocated, so a forged page count fails without touching memory.
-    uint8_t header[16];
-    if (std::fread(header, 1, sizeof header, f) != sizeof header ||
-        getLe<uint32_t>(header) != kDeviceMagic ||
-        getLe<uint32_t>(header + 4) != kDeviceVersion) {
-        std::fclose(f);
-        return Status::corruptData("bad device image header");
-    }
-    uint64_t pages = getLe<uint64_t>(header + 8);
-    long file_size = -1;
-    if (std::fseek(f, 0, SEEK_END) == 0) {
-        file_size = std::ftell(f);
-    }
-    if (file_size < static_cast<long>(sizeof header) ||
-        pages > (static_cast<uint64_t>(file_size) - sizeof header) /
-                    storage::kPageSize ||
-        std::fseek(f, sizeof header, SEEK_SET) != 0) {
-        std::fclose(f);
-        return Status::corruptData("device image pages truncated");
-    }
-    // Host-side restore of the NAND contents, read straight into the
-    // page store: not metered device traffic (the bytes never crossed
-    // the modeled links).
-    for (uint64_t p = 0; p < pages; ++p) {
-        std::span<uint8_t> slot =
-            ssd_.store().mutablePage(ssd_.allocate());
-        if (std::fread(slot.data(), 1, slot.size(), f) != slot.size()) {
-            std::fclose(f);
-            return Status::corruptData("device image pages truncated");
-        }
-    }
+    Status loaded = loadDevicePages(f, &ssd_);
     std::fclose(f);
+    MITHRIL_RETURN_IF_ERROR(loaded);
     ssd_.resetClock();
 
     obs::Span span = tracer_->span("recover", "core");
