@@ -122,7 +122,6 @@ InvertedIndex::flushBuffer(Entry *entry)
     uint64_t ref = writeLeaf(*entry);
     entry->buffer.clear();
     entry->leaf_refs.push_back(ref);
-    ++leaf_flushes_;
     ++leaves_since_snapshot_;
     counters_.leaf_nodes_flushed->add();
     if (entry->leaf_refs.size() >= kNodeArity) {

@@ -215,7 +215,6 @@ class InvertedIndex
     storage::PageId open_root_page_ = storage::kInvalidPage;
     size_t open_root_slot_ = 0;
 
-    uint64_t leaf_flushes_ = 0;
     uint64_t leaves_since_snapshot_ = 0;
     storage::PageId max_data_page_ = 0;
     std::vector<SnapshotRecord> snapshots_;
