@@ -108,6 +108,10 @@ class Accelerator
      * @p mode. Pages are distributed round-robin, one page per
      * pipeline per turn and in batch order, as the device's scatter
      * unit does, so kept lines come back in batch page order.
+     * Each page's payload CRC must already have been checked
+     * (lzahVerifyPage(), as MithriLog's staging does): the decoders
+     * check only the page header, and a damaged payload that passes
+     * it yields wrong lines rather than an error.
      */
     [[nodiscard]] Status process(std::span<const compress::ByteView> pages,
                                  Mode mode, AccelResult *out);

@@ -93,7 +93,8 @@ class FilterPipeline
     void begin(Mode mode, bool collect_masks, PipelineResult *out);
 
     /**
-     * Runs the batch's next LZAH-compressed page. The stage models
+     * Runs the batch's next LZAH-compressed page, whose payload CRC
+     * the caller has checked (Accelerator::process). The stage models
      * carry over from page to page: a batch's cycles are those of one
      * continuous pass over its pages. In kFilter mode the page's kept
      * lines are appended to @p kept, tagged with @p page_index.

@@ -218,37 +218,38 @@ LzahPageEncoder::sealPage()
 // --------------------------------------------------------------------------
 // Page decoding
 
+namespace {
+
+/** lzahVerifyPage()'s checks into @p hdr; the payload CRC only when
+ *  @p check_crc. */
 Status
-lzahVerifyPage(ByteView page)
+checkPage(ByteView page, bool check_crc, PageHeader *hdr)
 {
     if (page.size() < kPageHeaderBytes) {
         return Status::corruptData("LZAH page shorter than header");
     }
-    PageHeader hdr;
-    std::memcpy(&hdr, page.data(), sizeof hdr);
-    if (hdr.magic != kPageMagic) {
+    std::memcpy(hdr, page.data(), sizeof *hdr);
+    if (hdr->magic != kPageMagic) {
         return Status::corruptData("LZAH page magic mismatch");
     }
-    if (hdr.decompressed_bytes !=
-        hdr.item_count * static_cast<uint32_t>(kLzahWord)) {
+    if (hdr->decompressed_bytes !=
+        hdr->item_count * static_cast<uint32_t>(kLzahWord)) {
         return Status::corruptData("LZAH header byte/item mismatch");
     }
-    if (hdr.crc != pagePayloadCrc(page)) {
+    if (check_crc && hdr->crc != pagePayloadCrc(page)) {
         return Status::dataLoss("LZAH page CRC mismatch");
     }
     return Status::ok();
 }
 
-namespace {
-
-/** lzahDecodePage with the caller's match-table storage. */
+/** Page decode with the caller's match-table storage; the payload CRC
+ *  is checked only when @p check_crc. */
 Status
-decodePageWith(ByteView page, bool padded, Bytes *output,
+decodePageWith(ByteView page, bool check_crc, bool padded, Bytes *output,
                uint64_t *word_count, std::vector<Word> *table_storage)
 {
-    MITHRIL_RETURN_IF_ERROR(lzahVerifyPage(page));
     PageHeader hdr;
-    std::memcpy(&hdr, page.data(), sizeof hdr);
+    MITHRIL_RETURN_IF_ERROR(checkPage(page, check_crc, &hdr));
 
     // Page independence: every page decodes from an empty table.
     table_storage->assign(kLzahTableEntries, Word{});
@@ -313,11 +314,27 @@ decodePageWith(ByteView page, bool padded, Bytes *output,
 } // namespace
 
 Status
+lzahVerifyPage(ByteView page)
+{
+    PageHeader hdr;
+    return checkPage(page, /*check_crc=*/true, &hdr);
+}
+
+Status
 lzahDecodePage(ByteView page, bool padded, Bytes *output,
                uint64_t *word_count)
 {
     std::vector<Word> table;
-    return decodePageWith(page, padded, output, word_count, &table);
+    return decodePageWith(page, /*check_crc=*/true, padded, output,
+                          word_count, &table);
+}
+
+Status
+lzahDecodeCheckedPage(ByteView page, Bytes *output)
+{
+    std::vector<Word> table;
+    return decodePageWith(page, /*check_crc=*/false, /*padded=*/false,
+                          output, nullptr, &table);
 }
 
 // --------------------------------------------------------------------------
@@ -458,8 +475,9 @@ Status
 LzahDecompressorModel::decodePage(ByteView page, Bytes *output)
 {
     uint64_t words = 0;
-    MITHRIL_RETURN_IF_ERROR(
-        decodePageWith(page, /*padded=*/true, output, &words, &table_));
+    MITHRIL_RETURN_IF_ERROR(decodePageWith(page, /*check_crc=*/false,
+                                           /*padded=*/true, output, &words,
+                                           &table_));
     cycles_ += words;
     bytes_out_ += words * kLzahWord;
     return Status::ok();

@@ -170,6 +170,15 @@ Status lzahDecodePage(ByteView page, bool padded, Bytes *output,
 Status lzahVerifyPage(ByteView page);
 
 /**
+ * Unpadded lzahDecodePage() for a page whose bytes a CRC has just
+ * vouched for: a staged page that passed lzahVerifyPage(), or a mounted
+ * page that matched its journal commit CRC. Checks the header and stays
+ * within bounds on any payload, but does not compute the payload CRC
+ * again.
+ */
+Status lzahDecodeCheckedPage(ByteView page, Bytes *output);
+
+/**
  * Cycle-counting decompressor model.
  *
  * In hardware the LZAH decoder emits exactly one 16-byte word per cycle
@@ -180,7 +189,10 @@ Status lzahVerifyPage(ByteView page);
 class LzahDecompressorModel
 {
   public:
-    /** Decodes a page in padded (tokenizer-ready) form. */
+    /** Decodes a page in padded (tokenizer-ready) form. The page's
+     *  payload CRC must already have been checked, as staging does
+     *  before a page reaches the accelerator; like
+     *  lzahDecodeCheckedPage(), only the header is checked here. */
     Status decodePage(ByteView page, Bytes *output);
 
     /** Cycles consumed so far (one per emitted word). */

@@ -1,6 +1,7 @@
 #include "core/mithrilog.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <set>
 
@@ -11,6 +12,7 @@
 #include "obs/json.h"
 #include "query/matcher.h"
 #include "query/parser.h"
+#include "typed/extract.h"
 
 namespace mithril::core {
 
@@ -120,15 +122,32 @@ void
 MithriLog::indexLine(std::string_view line, uint64_t line_no)
 {
     // One tokenizer pass: each token joins the open page's distinct
-    // set, and the line's token list feeds typed extraction.
-    line_tokens_.clear();
+    // set. A page repeats its tokens from line to line, so the typed
+    // ladder runs once per distinct token of the page, and the key it
+    // finds is kept by the token's index in the set.
+    std::array<std::string_view, typed::kHeaderTokens> head;
+    size_t head_size = 0;
     forEachToken(line, [&](std::string_view tok, uint32_t) {
-        page_tokens_.insert(tok);
-        line_tokens_.push_back(tok);
+        uint32_t i = page_tokens_.insert(tok);
+        if (!config_.use_typed_index) {
+            return true;
+        }
+        if (i == token_keys_.size()) {
+            typed::TypedKey &key = token_keys_.emplace_back();
+            typed::tokenKey(tok, &key);
+        }
+        if (token_keys_[i].valid()) {
+            typed_index_->addKey(token_keys_[i], line_no);
+        }
+        if (head_size < head.size()) {
+            head[head_size++] = tok;
+        }
         return true;
     });
-    if (config_.use_typed_index) {
-        typed_index_->addLine(line_tokens_, line_no);
+    typed::TypedKey key;
+    if (config_.use_typed_index &&
+        typed::headerKey(std::span(head.data(), head_size), &key)) {
+        typed_index_->addKey(key, line_no);
     }
 }
 
@@ -139,6 +158,7 @@ MithriLog::indexPage(PageId page, uint64_t first_line, uint64_t end_line)
     // balancing in addPage depends on the order tokens arrive in.
     index_->addPage(page, page_tokens_.sorted(), end_line);
     page_tokens_.clear();
+    token_keys_.clear();
     MITHRIL_ASSERT(data_pages_.empty() ||
                    (data_pages_.back() < page &&
                     page_dir_.back().first_line <= first_line));
@@ -860,10 +880,10 @@ MithriLog::hostEvaluate(std::span<const compress::ByteView> views,
         // line-number order.
         MITHRIL_ASSERT(v == 0 || ids[v - 1] < ids[v]);
         // Decode per page so a mid-page decode failure (structural
-        // damage past the CRC) drops that page cleanly.
+        // damage past the CRC) drops that page cleanly. stagePages
+        // checked each page's CRC.
         text.clear();
-        if (!compress::lzahDecodePage(views[v], /*padded=*/false, &text)
-                 .isOk()) {
+        if (!compress::lzahDecodeCheckedPage(views[v], &text).isOk()) {
             counters_.pages_dropped->add();
             ++out->breakdown.pages_dropped;
             continue;
@@ -1089,7 +1109,8 @@ MithriLog::recover(const std::string &path)
 
     // Step 4: rebuild the index from the verified pages (the index is
     // unjournaled by design; committed data pages are the source of
-    // truth), decoding each from the store into one reused buffer. A
+    // truth), decoding each from the store into one reused buffer; the
+    // journal CRC of step 2 stands for the page's own payload CRC. A
     // page that fails to decode cuts the prefix there, and the verified
     // pages past the cut are freed.
     obs::Span index_span = tracer_->span("recover.index_rebuild",
@@ -1101,8 +1122,7 @@ MithriLog::recover(const std::string &path)
         std::span<const uint8_t> view;
         buf.clear();
         if (!ssd_.store().read(cp.page, &view).isOk() ||
-            !compress::lzahDecodePage(view, /*padded=*/false, &buf)
-                 .isOk()) {
+            !compress::lzahDecodeCheckedPage(view, &buf).isOk()) {
             break;
         }
         uint64_t line_no = rebuilt_lines;

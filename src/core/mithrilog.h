@@ -512,9 +512,11 @@ class MithriLog
     /**
      * The per-line half of the one indexing path that ingestLine() and
      * recover()'s rebuild share. One tokenizer pass adds each token of
-     * @p line to the open page's distinct-token set and, with the typed
-     * index on, hands the line's token list to typed extraction as
-     * line @p line_no.
+     * @p line to the open page's distinct-token set. With the typed
+     * index on, a token the page has not seen before goes through
+     * typed::tokenKey() once, and line @p line_no gets a posting for
+     * each key its tokens yield plus its syslog header key, the keys
+     * typed::extractLine() emits for it.
      */
     void indexLine(std::string_view line, uint64_t line_no);
 
@@ -522,8 +524,8 @@ class MithriLog
      * The per-page half: registers data page @p page, which holds lines
      * [@p first_line, @p end_line), with the keyword index (its
      * distinct tokens in byte order, stamped @p end_line), empties the
-     * token set for the next page, and appends the page to dataPages()
-     * and the page directory. Pages arrive in ingest order with
+     * token set and its typed keys for the next page, and appends the
+     * page to dataPages() and the page directory. Pages arrive in ingest order with
      * ascending ids, and indexPage checks it.
      */
     void indexPage(storage::PageId page, uint64_t first_line,
@@ -606,8 +608,9 @@ class MithriLog
     /** Distinct tokens of the open page (ingest) or of the page being
      *  rebuilt (recover). */
     PageTokenSet page_tokens_;
-    /** The current line's tokens, reused from line to line. */
-    std::vector<std::string_view> line_tokens_;
+    /** typed::tokenKey() of each token in page_tokens_, by its insert
+     *  index (kind kNone when the token yields no key). */
+    std::vector<typed::TypedKey> token_keys_;
     uint64_t lines_ = 0;
     uint64_t raw_bytes_ = 0;
     uint64_t truncated_lines_ = 0;

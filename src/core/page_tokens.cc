@@ -8,7 +8,7 @@
 
 namespace mithril::core {
 
-void
+uint32_t
 PageTokenSet::insert(std::string_view token)
 {
     MITHRIL_ASSERT(!sorted_);
@@ -24,10 +24,10 @@ PageTokenSet::insert(std::string_view token)
             std::memcpy(copy, token.data(), token.size());
             tokens_.emplace_back(copy, token.size());
             slot = Slot{hash, static_cast<uint32_t>(tokens_.size())};
-            return;
+            return slot.index - 1;
         }
         if (slot.hash == hash && tokens_[slot.index - 1] == token) {
-            return;
+            return slot.index - 1;
         }
     }
 }

@@ -7,7 +7,10 @@
  * stay valid until clear(), and found again through an open-addressing
  * table of (hash, index) slots. clear() keeps every allocation: the set
  * holds one page's tokens at most, and once the first pages have sized
- * it, adding a token allocates nothing.
+ * it, adding a token allocates nothing. insert() returns the token's
+ * first-arrival index, so a caller can keep per-token results (the
+ * typed screen, DESIGN.md §15) in a vector beside the set and compute
+ * each once per page.
  */
 #ifndef MITHRIL_CORE_PAGE_TOKENS_H
 #define MITHRIL_CORE_PAGE_TOKENS_H
@@ -22,8 +25,13 @@ namespace mithril::core {
 class PageTokenSet
 {
   public:
-    /** Adds @p token unless it is already in the set. */
-    void insert(std::string_view token);
+    /**
+     * Adds @p token unless it is already in the set, and returns its
+     * index: tokens are numbered 0, 1, ... in the order they first
+     * arrive, so a token the page has not seen before gets size() - 1.
+     * The numbers hold until sorted().
+     */
+    uint32_t insert(std::string_view token);
 
     /**
      * The distinct tokens in byte order, the order a

@@ -1,6 +1,6 @@
 #include "typed/extract.h"
 
-#include <vector>
+#include <algorithm>
 
 #include "common/text.h"
 
@@ -33,11 +33,6 @@ tryMac(std::string_view candidate, TypedKey *out)
 bool
 tryIp6(std::string_view candidate, TypedKey *out)
 {
-    // Require at least one ':' so plain hex ids never reach the
-    // (permissive) IPv6 grammar.
-    if (candidate.find(':') == std::string_view::npos) {
-        return false;
-    }
     std::array<uint8_t, 16> groups{};
     if (!parseIp6(candidate, &groups)) {
         return false;
@@ -68,6 +63,42 @@ tryRfc3339(std::string_view candidate, TypedKey *out)
     return true;
 }
 
+bool
+isHexDigit(char c)
+{
+    return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')
+           || (c >= 'A' && c <= 'F');
+}
+
+/** The length of a candidate and which of the separators '.', ':' and
+ *  '-' it holds: what the registry's screens read. */
+struct Shape {
+    size_t size = 0;
+    bool dot = false;
+    bool colon = false;
+    bool dash = false;
+};
+
+Shape
+shapeOf(std::string_view candidate)
+{
+    Shape shape{candidate.size()};
+    for (char c : candidate) {
+        shape.dot |= c == '.';
+        shape.colon |= c == ':';
+        shape.dash |= c == '-';
+    }
+    return shape;
+}
+
+/** One value family: its parser behind a screen. Each screen is a
+ *  necessary condition of its parser, so a candidate it turns away is
+ *  one the parser would have rejected. */
+struct Extractor {
+    bool (*admits)(const Shape &);
+    bool (*parse)(std::string_view, TypedKey *);
+};
+
 // The registry, in ladder order (tried first to last per candidate).
 // Each extractor tries the whole candidate token and returns false when
 // it is not its value family.
@@ -75,8 +106,23 @@ tryRfc3339(std::string_view candidate, TypedKey *out)
 // groups, and the 17-byte two-nibble form is the stronger signal.
 // IPv4 before hex id keeps "10101010" unambiguous (it has no dots, so
 // the order only matters for documentation).
-constexpr bool (*kRegistry[])(std::string_view, TypedKey *) = {
-    tryIp4, tryMac, tryIp6, tryHexId, tryRfc3339,
+constexpr Extractor kRegistry[] = {
+    // Four octets joined by '.'.
+    {[](const Shape &s) { return s.dot; }, tryIp4},
+    // Six two-nibble groups joined by ':' or '-'.
+    {[](const Shape &s) { return s.size == 17 && (s.colon || s.dash); },
+     tryMac},
+    // Groups joined by ':'; requiring one also keeps plain hex ids
+    // away from the (permissive) IPv6 grammar.
+    {[](const Shape &s) { return s.colon; }, tryIp6},
+    // 8..64 nibbles after an optional "0x", so no separator at all.
+    {[](const Shape &s) {
+         return s.size >= 8 && !s.dot && !s.colon && !s.dash;
+     },
+     tryHexId},
+    // YYYY-MM-DDThh:mm:ssZ, 20 bytes, is the shortest form.
+    {[](const Shape &s) { return s.size >= 20 && s.dash && s.colon; },
+     tryRfc3339},
 };
 
 bool
@@ -133,29 +179,52 @@ trimPunct(std::string_view token)
 bool
 mayStartValue(char c)
 {
-    return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')
-           || (c >= 'A' && c <= 'F') || c == ':';
+    return isHexDigit(c) || c == ':';
 }
 
-/** True when no rung of the ladder can yield a key for @p token. Every
- *  candidate is a substring of the token; without a ':' the shortest
- *  value of any family is a 7-byte dotted quad ("1.2.3.4"), and IPv6
- *  needs a ':'. */
+/**
+ * False only when no candidate of @p token can yield a key. Every
+ * candidate is a substring of the token. Every family but the hex id
+ * needs a '.', ':' or '-'; without a ':' the shortest such value is a
+ * 7-byte dotted quad ("1.2.3.4"), and IPv6 needs a ':'. A hex id needs
+ * a run of at least 8 hex digits with a letter among them.
+ */
 bool
-tooShortForAnyKey(std::string_view token)
+mayHoldKey(std::string_view token)
 {
-    return token.size() < 7 && token.find(':') == std::string_view::npos;
+    if (token.size() < 7) {
+        return token.find(':') != std::string_view::npos;
+    }
+    size_t run = 0;
+    bool letter = false;
+    for (char c : token) {
+        if (c == '.' || c == ':' || c == '-') {
+            return true;
+        }
+        if (!isHexDigit(c)) {
+            run = 0;
+            letter = false;
+            continue;
+        }
+        ++run;
+        letter |= c > '9';
+        if (run >= 8 && letter) {
+            return true;
+        }
+    }
+    return false;
 }
 
-/** Tries every registered extractor against one candidate. */
+/** Tries every registered extractor that admits one candidate. */
 bool
 tryCandidate(std::string_view candidate, TypedKey *out)
 {
     if (candidate.empty() || !mayStartValue(candidate.front())) {
         return false;
     }
-    for (auto parse : kRegistry) {
-        if (parse(candidate, out)) {
+    Shape shape = shapeOf(candidate);
+    for (const Extractor &e : kRegistry) {
+        if (e.admits(shape) && e.parse(candidate, out)) {
             return true;
         }
     }
@@ -164,46 +233,57 @@ tryCandidate(std::string_view candidate, TypedKey *out)
 
 } // namespace
 
+bool
+headerKey(std::span<const std::string_view> tokens, TypedKey *key)
+{
+    size_t n = std::min(tokens.size(), kHeaderTokens);
+    for (size_t i = 0; i + 2 < n; ++i) {
+        uint64_t epoch_s = 0;
+        // Every month name is 3 bytes.
+        if (tokens[i].size() == 3
+            && parseSyslogTime(tokens[i], tokens[i + 1], tokens[i + 2],
+                               &epoch_s)) {
+            *key = timestampKey(epoch_s);
+            return true;
+        }
+    }
+    return false;
+}
+
+bool
+tokenKey(std::string_view token, TypedKey *key)
+{
+    if (!mayHoldKey(token)) {
+        return false;
+    }
+    // Boundary-candidate ladder: raw token, punctuation-trimmed, value
+    // after '=', value after the last ':'. First hit wins.
+    if (tryCandidate(token, key)) {
+        return true;
+    }
+    std::string_view trimmed = trimPunct(token);
+    if (trimmed != token && tryCandidate(trimmed, key)) {
+        return true;
+    }
+    size_t eq = trimmed.rfind('=');
+    if (eq != std::string_view::npos
+        && tryCandidate(trimPunct(trimmed.substr(eq + 1)), key)) {
+        return true;
+    }
+    size_t colon = trimmed.rfind(':');
+    return colon != std::string_view::npos
+           && tryCandidate(trimPunct(trimmed.substr(colon + 1)), key);
+}
+
 void
 extractTokens(std::span<const std::string_view> tokens, const KeySink &sink)
 {
-    // Line-level pass: the syslog header ("Aug  9 12:34:56") spans
-    // three whitespace tokens, so it cannot be recognized token-wise.
-    for (size_t i = 0; i + 2 < tokens.size() && i < 4; ++i) {
-        uint64_t epoch_s = 0;
-        if (parseSyslogTime(tokens[i], tokens[i + 1], tokens[i + 2],
-                            &epoch_s)) {
-            sink(timestampKey(epoch_s));
-            break;
-        }
+    TypedKey key;
+    if (headerKey(tokens, &key)) {
+        sink(key);
     }
-
     for (std::string_view token : tokens) {
-        if (tooShortForAnyKey(token)) {
-            continue;
-        }
-        TypedKey key;
-        // Boundary-candidate ladder: raw token, punctuation-trimmed,
-        // value after '=', value after the last ':'. First hit wins.
-        if (tryCandidate(token, &key)) {
-            sink(key);
-            continue;
-        }
-        std::string_view trimmed = trimPunct(token);
-        if (trimmed != token && tryCandidate(trimmed, &key)) {
-            sink(key);
-            continue;
-        }
-        size_t eq = trimmed.rfind('=');
-        if (eq != std::string_view::npos
-            && tryCandidate(trimPunct(trimmed.substr(eq + 1)), &key)) {
-            sink(key);
-            continue;
-        }
-        size_t colon = trimmed.rfind(':');
-        if (colon != std::string_view::npos
-            && tryCandidate(trimPunct(trimmed.substr(colon + 1)),
-                            &key)) {
+        if (tokenKey(token, &key)) {
             sink(key);
         }
     }

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 
 #include "common/bits.h"
 #include "common/hash.h"
-#include "typed/extract.h"
 
 namespace mithril::typed {
 
@@ -72,17 +72,14 @@ TypedIndex::TypedIndex(storage::SsdModel *ssd,
 }
 
 void
-TypedIndex::addLine(std::span<const std::string_view> tokens,
-                    uint64_t line_no)
+TypedIndex::addKey(const TypedKey &key, uint64_t line_no)
 {
-    extractTokens(tokens, [&](const TypedKey &key) {
-        KeyEntry &entry = keys_[key];
-        if (!entry.pending.empty() && entry.pending.back() == line_no) {
-            return; // one posting per (key, line)
-        }
-        entry.pending.push_back(line_no);
-        counters_.postings->add();
-    });
+    KeyEntry &entry = keys_[key];
+    if (!entry.pending.empty() && entry.pending.back() == line_no) {
+        return; // one posting per (key, line)
+    }
+    entry.pending.push_back(line_no);
+    counters_.postings->add();
 }
 
 void

@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -68,11 +67,10 @@ class TypedIndex
     explicit TypedIndex(storage::SsdModel *ssd,
                         obs::MetricsRegistry *metrics = nullptr);
 
-    /** Ingest: extracts every typed key of the line split into
-     *  @p tokens (0-based global @p line_no) into the pending posting
-     *  lists. */
-    void addLine(std::span<const std::string_view> tokens,
-                 uint64_t line_no);
+    /** Ingest: adds a posting of @p key for the 0-based global line
+     *  @p line_no to the pending lists. Lines arrive in ascending
+     *  order, and a key a line yields twice gets one posting. */
+    void addKey(const TypedKey &key, uint64_t line_no);
 
     /** Packs all pending postings into posting pages on the device. */
     void flush();

@@ -2,12 +2,15 @@
  * @file
  * The open page's distinct-token set: it must hand the inverted index
  * exactly the tokens, and the order, a std::set<std::string> would,
- * since the index's two-hash balancing depends on arrival order.
+ * since the index's two-hash balancing depends on arrival order; and
+ * insert() must number tokens in first-arrival order, which the typed
+ * key memo beside the set relies on.
  */
 #include "core/page_tokens.h"
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -29,6 +32,8 @@ TEST(PageTokenSetTest, MatchesStdSetAcrossPages)
     PageTokenSet set;
     for (int page = 0; page < 20; ++page) {
         std::set<std::string, std::less<>> expect;
+        // insert() numbers tokens in first-arrival order, page by page.
+        std::map<std::string, uint32_t> first_index;
         // Bytes above 0x7f check that the order is unsigned, as in
         // std::string comparison; long tokens cross arena chunks.
         for (int i = 0, n = 50 + static_cast<int>(rng.below(3000)); i < n;
@@ -42,7 +47,11 @@ TEST(PageTokenSetTest, MatchesStdSetAcrossPages)
                                              : 'a' + rng.below(6));
             }
             expect.insert(tok);
-            set.insert(tok);  // views must outlive this string
+            auto [it, added] = first_index.emplace(
+                tok, static_cast<uint32_t>(first_index.size()));
+            // Views must outlive this string.
+            ASSERT_EQ(set.insert(tok), it->second)
+                << "page " << page << (added ? ", new" : ", repeat");
         }
         EXPECT_EQ(set.size(), expect.size()) << "page " << page;
         EXPECT_EQ(asStrings(set.sorted()),
@@ -51,6 +60,21 @@ TEST(PageTokenSetTest, MatchesStdSetAcrossPages)
         set.clear();
         EXPECT_EQ(set.size(), 0u);
     }
+}
+
+TEST(PageTokenSetTest, InsertReturnsFirstArrivalIndex)
+{
+    PageTokenSet set;
+    EXPECT_EQ(set.insert("beta"), 0u);
+    EXPECT_EQ(set.insert("alpha"), 1u);
+    EXPECT_EQ(set.insert("beta"), 0u);
+    EXPECT_EQ(set.insert("gamma"), 2u);
+    EXPECT_EQ(set.insert("alpha"), 1u);
+    EXPECT_EQ(set.size(), 3u);
+    set.sorted();
+    set.clear();
+    EXPECT_EQ(set.insert("gamma"), 0u);  // numbering restarts per page
+    EXPECT_EQ(set.insert("beta"), 1u);
 }
 
 TEST(PageTokenSetTest, TokenLargerThanAChunkKeepsEarlierViews)

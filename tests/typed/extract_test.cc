@@ -11,17 +11,14 @@
 
 #include <gtest/gtest.h>
 
-#include <iterator>
+#include <array>
 #include <string>
 #include <vector>
 
 #include "common/bits.h"
 #include "common/hash.h"
-#include "common/rng.h"
 #include "common/text.h"
-#include "loggen/datasets.h"
-#include "loggen/incident.h"
-#include "loggen/log_generator.h"
+#include "key_corpora.h"
 #include "typed/typed_key.h"
 
 namespace mithril::typed {
@@ -128,147 +125,162 @@ TEST(ExtractTest, NonValuesEmitNothing)
     EXPECT_TRUE(keysOf("error code 404 at line 12345678").empty());
 }
 
-/** The first @p count lines of HPC4 generator @p dataset. */
-std::vector<std::string>
-hpc4Lines(size_t dataset, size_t count)
+// Keys taken from the parsers themselves, for the screen table below.
+TypedKey
+ip4(std::string_view text)
 {
-    loggen::LogGenerator gen(loggen::hpc4Datasets()[dataset]);
-    std::vector<std::string> lines;
-    for (size_t i = 0; i < count; ++i) {
-        lines.push_back(gen.line());
-    }
-    return lines;
+    std::array<uint8_t, 4> v{};
+    EXPECT_TRUE(parseIp4(text, &v)) << text;
+    return ip4Key(v);
 }
 
-std::vector<std::string>
-incidentLines()
+TypedKey
+ip6(std::string_view text)
 {
-    loggen::IncidentGroundTruth truth;
-    std::string text =
-        loggen::generateIncident(loggen::IncidentSpec{}, &truth);
-    std::vector<std::string> lines;
-    forEachLine(text, [&](std::string_view line) {
-        lines.emplace_back(line);
-    });
-    return lines;
+    std::array<uint8_t, 16> v{};
+    EXPECT_TRUE(parseIp6(text, &v)) << text;
+    return ip6Key(v);
+}
+
+TypedKey
+mac(std::string_view text)
+{
+    std::array<uint8_t, 6> v{};
+    EXPECT_TRUE(parseMac(text, &v)) << text;
+    return macKey(v);
+}
+
+TypedKey
+hexId(std::string_view text)
+{
+    std::string nibbles;
+    EXPECT_TRUE(parseHexId(text, &nibbles)) << text;
+    return hexIdKey(nibbles);
+}
+
+TypedKey
+rfc3339(std::string_view text)
+{
+    uint64_t epoch_s = 0;
+    EXPECT_TRUE(parseRfc3339(text, &epoch_s)) << text;
+    return timestampKey(epoch_s);
+}
+
+/** tokenKey(@p token) as a key, kNone when it finds none; extractLine()
+ *  must agree on a line of that one token. */
+TypedKey
+screened(const std::string &token)
+{
+    TypedKey key;
+    bool found = tokenKey(token, &key);
+    EXPECT_EQ(found, key.valid()) << token;
+    std::vector<TypedKey> line = keysOf(token);
+    EXPECT_EQ(line, found ? std::vector<TypedKey>{key}
+                          : std::vector<TypedKey>{})
+        << token;
+    return key;
 }
 
 /**
- * Seeded lines of values glued to log syntax: brackets, trailing '.'
- * and ',', k=v, host:v, 0x prefixes, near-miss addresses, and 1-8
- * byte tokens with and without ':' (the short-token skip's edge).
+ * The screens in front of the parsers are exact: each family's shortest
+ * and longest forms, glued to every mark trimPunct strips, after `=` and
+ * after `:`, still yield the key the family's parser gives, and the
+ * near misses yield none.
  */
-std::vector<std::string>
-fuzzLines(size_t count)
+TEST(ExtractTest, ScreensAreExact)
 {
-    Rng rng(0x7e57);
-    auto pick = [&](std::string_view alphabet, size_t len) {
-        std::string s;
-        for (size_t i = 0; i < len; ++i) {
-            s += alphabet[rng.below(alphabet.size())];
-        }
-        return s;
+    const std::string hex64 =
+        "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef";
+    struct Row {
+        std::string value;
+        TypedKey key;
     };
-    auto octet = [&]() {
-        // Mostly valid, sometimes a leading zero or an overflow.
-        switch (rng.below(8)) {
-        case 0:
-            return std::string("0") + std::to_string(rng.below(10));
-        case 1:
-            return std::to_string(256 + rng.below(100));
-        default:
-            return std::to_string(rng.below(256));
-        }
+    const Row rows[] = {
+        {"1.2.3.4", ip4("1.2.3.4")},
+        {"255.255.255.255", ip4("255.255.255.255")},
+        {"aa:bb:cc:dd:ee:ff", mac("aa:bb:cc:dd:ee:ff")},
+        {"AA-BB-CC-DD-EE-FF", mac("AA-BB-CC-DD-EE-FF")},
+        {"::", ip6("::")},
+        {"ffff:ffff:ffff:ffff:ffff:ffff:255.255.255.255",
+         ip6("ffff:ffff:ffff:ffff:ffff:ffff:255.255.255.255")},
+        {"deadbeef", hexId("deadbeef")},
+        {hex64, hexId(hex64)},
+        {"0x" + hex64, hexId("0x" + hex64)},
+        {"DEADBEEF01", hexId("DEADBEEF01")},
+        {"0XFEEDC0DE", hexId("0XFEEDC0DE")},
+        {"2026-08-09T12:34:56Z", rfc3339("2026-08-09T12:34:56Z")},
+        {"2026-08-09T12:34:56.123456789+05:30",
+         rfc3339("2026-08-09T12:34:56.123456789+05:30")},
     };
-    auto value = [&]() -> std::string {
-        switch (rng.below(10)) {
-        case 0:
-            return octet() + "." + octet() + "." + octet() + "." + octet();
-        case 1: {
-            std::string v = pick("0123456789abcdefABCDEF", 1 + rng.below(4));
-            for (size_t g = 0, n = rng.below(8); g < n; ++g) {
-                v += (rng.chance(0.2) ? "::" : ":")
-                     + pick("0123456789abcdef", 1 + rng.below(4));
-            }
-            return rng.chance(0.2) ? "::ffff:" + octet() + ".1.2."
-                                         + octet()
-                                   : v;
+    for (const Row &row : rows) {
+        ASSERT_TRUE(row.key.valid()) << row.value;
+        EXPECT_EQ(screened(row.value), row.key) << row.value;
+        for (char mark : std::string_view("()[]{}<>\"',;")) {
+            EXPECT_EQ(screened(mark + row.value), row.key)
+                << mark << row.value;
+            EXPECT_EQ(screened(row.value + mark), row.key)
+                << row.value << mark;
         }
-        case 2: {
-            const char *sep = rng.chance(0.5) ? ":" : "-";
-            std::string v = pick("0123456789abcdefABCDEF", 2);
-            for (int g = 0; g < 5; ++g) {
-                v += (rng.chance(0.05) ? "." : sep)
-                     + pick("0123456789abcdefABCDEF", 2);
-            }
-            return v;
+        for (char mark : std::string_view(".!?")) {
+            EXPECT_EQ(screened(row.value + mark), row.key)
+                << row.value << mark;
         }
-        case 3:
-            return (rng.chance(0.3) ? "0x" : "")
-                   + pick(rng.chance(0.3) ? "0123456789"
-                                          : "0123456789abcdefABCDEF",
-                          4 + rng.below(66));
-        case 4:
-            return "20" + pick("0123456789", 2) + "-"
-                   + pick("01", 1) + pick("0123456789", 1) + "-"
-                   + pick("0123", 1) + pick("0123456789", 1) + "T"
-                   + pick("012", 1) + pick("0123456789", 1) + ":"
-                   + pick("012345", 1) + pick("0123456789", 1) + ":"
-                   + pick("012345", 1) + pick("0123456789", 1)
-                   + (rng.chance(0.3) ? "." + pick("0123456789", 3) : "")
-                   + (rng.chance(0.5) ? "Z" : "+05:30");
-        case 5:
-        case 6:
-            // 1-8 bytes, with and without ':'.
-            return pick(rng.chance(0.5) ? "0123456789abcdefx.:"
-                                        : "0123456789abcdefx.",
-                        1 + rng.below(8));
-        default:
-            return pick("abcdefghijklmnopqrstuvwxyz0123456789.-_/",
-                        1 + rng.below(12));
+        EXPECT_EQ(screened("src=" + row.value), row.key) << row.value;
+        EXPECT_EQ(screened("k=[" + row.value + "],"), row.key)
+            << row.value;
+        if (row.value.find(':') == std::string::npos) {
+            // After the last ':' only; a value with its own ':' is cut.
+            EXPECT_EQ(screened("host:" + row.value), row.key)
+                << row.value;
         }
-    };
-    auto glue = [&](const std::string &v) -> std::string {
-        switch (rng.below(12)) {
-        case 0:
-            return "[" + v + "]";
-        case 1:
-            return "(" + v + "),";
-        case 2:
-            return v + ".";
-        case 3:
-            return v + ",";
-        case 4:
-            return "src=" + v;
-        case 5:
-            return "dst=" + v + ",";
-        case 6:
-            return "host:" + v;
-        case 7:
-            return "\"" + v + "\";";
-        case 8:
-            return "k=[" + v + "]!";
-        default:
-            return v;
-        }
-    };
-    static const char *const kSyslog[] = {"Aug  9 12:34:56", "Jun 3 22:02:50",
-                                          "Dec 31 23:59:60", "Feb 30 1:2:3"};
-    std::vector<std::string> lines;
-    for (size_t i = 0; i < count; ++i) {
-        std::string line;
-        if (rng.chance(0.15)) {
-            line += kSyslog[rng.below(std::size(kSyslog))];
-        }
-        for (size_t t = 0, n = 1 + rng.below(8); t < n; ++t) {
-            if (!line.empty()) {
-                line += rng.chance(0.8) ? " " : "\t ";
-            }
-            line += glue(value());
-        }
-        lines.push_back(std::move(line));
     }
-    return lines;
+
+    const std::string near_misses[] = {
+        "deadbee",                 // 7 nibbles
+        hex64 + "a",               // 65 nibbles
+        "0x" + hex64 + "a",
+        "12345678",                // all-digit runs are numbers
+        "0x12345678",
+        "1234567890123456",
+        "aa:bb:cc:dd:ee:f",        // 16-byte MACs
+        "aa-bb-cc-dd-ee-f",
+        "1.2.3",                   // 3 octets
+        "01.2.3.4",                // leading zero
+        "2026-08-09T12:34:56",     // 19 bytes, no zone
+        "dead-beef",               // separators cut the hex run
+        "x=deadbee.",
+    };
+    for (const std::string &token : near_misses) {
+        EXPECT_FALSE(screened(token).valid()) << token;
+    }
+}
+
+/** headerKey() finds a syslog header that starts at one of the first
+ *  four tokens, reads no further than kHeaderTokens, and takes only a
+ *  3-byte month name. */
+TEST(ExtractTest, HeaderKeyReadsTheFirstSixTokens)
+{
+    uint64_t epoch = 0;
+    ASSERT_TRUE(parseSyslogTime("Aug", "9", "12:34:56", &epoch));
+    std::string lead;
+    for (size_t at = 0; at <= 5; ++at) {
+        std::string line = lead + "Aug  9 12:34:56 up";
+        std::vector<std::string_view> tokens = splitTokens(line);
+        TypedKey key;
+        bool found = headerKey(tokens, &key);
+        EXPECT_EQ(found, at < 4) << line;
+        if (found) {
+            EXPECT_EQ(key, timestampKey(epoch)) << line;
+        }
+        lead += "w" + std::to_string(at) + " ";
+    }
+    TypedKey key;
+    std::vector<std::string_view> august =
+        splitTokens("Augu 9 12:34:56 up");
+    EXPECT_FALSE(headerKey(august, &key));
+    std::vector<std::string_view> lower = splitTokens("aug 9 12:34:56");
+    EXPECT_FALSE(headerKey(lower, &key));
+    EXPECT_FALSE(key.valid());
 }
 
 /** hash64 of the (line number, kind, key bytes) stream extractLine()

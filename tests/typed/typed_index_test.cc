@@ -12,8 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "common/text.h"
 #include "storage/ssd_model.h"
+#include "typed/extract.h"
 #include "typed/predicate.h"
 
 namespace mithril::typed {
@@ -26,6 +26,15 @@ mustParse(std::string_view word)
     Status st = parsePredicate(word, &p);
     EXPECT_TRUE(st.isOk()) << st.toString();
     return p;
+}
+
+/** Adds a posting for each key extractLine() finds in @p line, as
+ *  ingest does for its line @p line_no. */
+void
+addLine(TypedIndex *index, std::string_view line, uint64_t line_no)
+{
+    extractLine(line,
+                [&](const TypedKey &key) { index->addKey(key, line_no); });
 }
 
 /** Lines 0..n-1: every 3rd mentions 10.0.0.1, every 5th 10.0.0.2,
@@ -44,7 +53,7 @@ fillIndex(TypedIndex *index, uint64_t n)
         if (i % 7 == 0) {
             line += " [feedc0defeedbeef]";
         }
-        index->addLine(splitTokens(line), i);
+        addLine(index, line, i);
     }
 }
 
@@ -83,7 +92,7 @@ TEST(TypedIndexTest, FlushedLookupReadsPostingPages)
 
     // Postings added after a flush land in the pending tail and merge
     // with the flushed pages.
-    index.addLine(splitTokens("late src=10.0.0.1,"), 1002);
+    addLine(&index, "late src=10.0.0.1,", 1002);
     LookupResult merged = index.lookup(mustParse("ip:10.0.0.1"));
     std::vector<uint64_t> expected = expectedLines(1000, 3);
     expected.push_back(1002);
