@@ -525,8 +525,8 @@ class MithriLog
      * [@p first_line, @p end_line), with the keyword index (its
      * distinct tokens in byte order, stamped @p end_line), empties the
      * token set and its typed keys for the next page, and appends the
-     * page to dataPages() and the page directory. Pages arrive in ingest order with
-     * ascending ids, and indexPage checks it.
+     * page to dataPages() and the page directory. Pages arrive in
+     * ingest order with ascending ids, and indexPage checks it.
      */
     void indexPage(storage::PageId page, uint64_t first_line,
                    uint64_t end_line);
